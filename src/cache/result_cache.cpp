@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/env.hpp"
@@ -117,13 +118,6 @@ ResultCache::global()
     return instance;
 }
 
-ResultCache::Flight &
-ResultCache::flightFor(const std::string &key)
-{
-    const uint64_t h = io::fnv1a64(key.data(), key.size());
-    return flights_[h % kFlightStripes];
-}
-
 std::string
 ResultCache::entryPath(const std::string &key) const
 {
@@ -226,43 +220,23 @@ ResultCache::getOrCompute(const std::string &key,
 
     // In-process single-flight: one winner per key; everyone else waits
     // on the stripe latch, then reads the winner's entry back from disk.
-    Flight &flight = flightFor(key);
-    {
-        std::unique_lock<std::mutex> lock(flight.mutex);
-        while (flight.inFlight.count(key) != 0) {
+    std::optional<std::string> theirs;
+    const SingleFlight::Lease lease = flights_.claim(
+        key,
+        [&] {
+            theirs = load(key);
+            return theirs.has_value();
+        },
+        [&] {
             waits.add();
-            {
-                std::lock_guard<std::mutex> slock(statsMutex_);
-                ++stats_.singleflightWaits;
-            }
-            flight.cv.wait(lock, [&] {
-                return flight.inFlight.count(key) == 0;
-            });
-            lock.unlock();
-            if (auto again = load(key)) {
-                if (wasHit != nullptr)
-                    *wasHit = true;
-                return *again;
-            }
-            // The winner failed to produce an entry (compute threw or
-            // the store failed): take over as the new winner.
-            lock.lock();
-        }
-        flight.inFlight.insert(key);
+            std::lock_guard<std::mutex> slock(statsMutex_);
+            ++stats_.singleflightWaits;
+        });
+    if (!lease) {
+        if (wasHit != nullptr)
+            *wasHit = true;
+        return *theirs;
     }
-    struct FlightRelease
-    {
-        Flight &flight;
-        const std::string &key;
-        ~FlightRelease()
-        {
-            {
-                std::lock_guard<std::mutex> lock(flight.mutex);
-                flight.inFlight.erase(key);
-            }
-            flight.cv.notify_all();
-        }
-    } flightRelease{flight, key};
 
     // Cross-process best-effort single-flight: if another process holds
     // a fresh lock on this key, poll for its entry instead of redoing
@@ -360,7 +334,7 @@ ResultCache::evictIfNeeded()
         const std::string ext = it->path().extension().string();
         if (ext != kEntrySuffix) {
             // Never an eviction candidate: .lock files guard an
-            // in-flight compute, .tmp<pid> files are mid-publish, and
+            // in-flight compute, .tmp<pid>-<n> files are mid-publish, and
             // .corrupt files are quarantined evidence. The janitor
             // reaps only the ones a dead process abandoned.
             const bool reapable = ext == ".lock" || ext == ".corrupt" ||
@@ -441,7 +415,6 @@ compileCacheKey(const Circuit &logical, const PipelineOptions &options,
     h.feedValue(options.compose.restarts);
     h.feedValue(options.compose.maxSweeps);
     h.feedValue(options.compose.maxEvaluationsPerBlock);
-    h.feedValue(options.compose.annealingEvaluations);
     h.feedValue(options.compose.maxSplitDepth);
     h.feedValue(options.compose.seed);
     return "c-" + h.hex();
@@ -504,7 +477,6 @@ skeletonCacheKey(const Circuit &logical,
     h.feedValue(options.compose.restarts);
     h.feedValue(options.compose.maxSweeps);
     h.feedValue(options.compose.maxEvaluationsPerBlock);
-    h.feedValue(options.compose.annealingEvaluations);
     h.feedValue(options.compose.maxSplitDepth);
     h.feedValue(options.compose.seed);
     return "s-" + h.hex();

@@ -21,7 +21,7 @@
  *    entry is treated as a miss, quarantined to <entry>.corrupt, and
  *    counted (cache.corrupt) — never a crash, never a wrong result.
  *  - Single-flight: concurrent misses on the same key inside one
- *    process compute once (striped latches); across processes a
+ *    process compute once (cache/single_flight); across processes a
  *    best-effort lock file lets late arrivals wait briefly for the
  *    winner's entry instead of duplicating hours of composition.
  *  - Bounded size: GEYSER_CACHE_MAX_MB (or CacheConfig::maxBytes) caps
@@ -36,16 +36,15 @@
 #define GEYSER_CACHE_RESULT_CACHE_HPP
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "cache/single_flight.hpp"
 #include "geyser/pipeline.hpp"
 
 namespace geyser {
@@ -219,22 +218,12 @@ class ResultCache
     CacheStats stats() const;
 
   private:
-    struct Flight
-    {
-        std::mutex mutex;
-        std::condition_variable cv;
-        std::unordered_set<std::string> inFlight;
-    };
-
-    static constexpr int kFlightStripes = 16;
-
-    Flight &flightFor(const std::string &key);
     void quarantine(const std::string &path);
     void evictIfNeeded();
 
     CacheConfig config_;
     bool enabled_ = false;
-    Flight flights_[kFlightStripes];
+    SingleFlight flights_;
     std::mutex evictMutex_;
     mutable std::mutex statsMutex_;
     CacheStats stats_;

@@ -37,6 +37,12 @@ ThreadPool::ThreadPool(int n)
 {
     int count = n > 0 ? n : static_cast<int>(std::thread::hardware_concurrency());
     count = std::max(1, count);
+    // Workers use the obs registry (setThreadName, spans, counters).
+    // Construct it before the first worker starts, so it finishes
+    // construction first and is destroyed after this pool at exit: a
+    // static pool's workers may still be starting when the process
+    // returns from main.
+    (void)obs::nowMicros();
     workers_.reserve(static_cast<size_t>(count));
     for (int i = 0; i < count; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
 
 #include "cache/result_cache.hpp"
+#include "cache/single_flight.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "io/framing.hpp"
@@ -159,6 +162,143 @@ rotosolve(const Ansatz &ansatz, const Matrix &target,
     return best;
 }
 
+namespace {
+
+/** The best point one depth's angle search reached. */
+struct DepthBest
+{
+    double hsd = 1.0;
+    std::vector<double> angles;
+};
+
+/**
+ * Rotosolve search at one ansatz depth. Explore-then-exploit: good
+ * basins can be narrow, so basin *discovery* (many short runs) matters
+ * more than deep polishing of a few starts. Triage with short sweeps,
+ * keep the most promising starts, polish them, then basin-hop around
+ * the best point. Stops at the first point under the threshold.
+ */
+DepthBest
+rotosolveSearch(AnsatzEvaluator &evaluator, const ComposeOptions &options,
+                long budget, Rng &rng, long &evaluations)
+{
+    const long start = evaluations;
+    auto budgetLeft = [&] { return evaluations - start < budget; };
+    const int n = evaluator.numAngles();
+    DepthBest best;
+
+    std::vector<DepthBest> shortlist;
+    auto consider = [&](double h, std::vector<double> angles) {
+        shortlist.push_back({h, std::move(angles)});
+        std::sort(shortlist.begin(), shortlist.end(),
+                  [](const DepthBest &x, const DepthBest &y) {
+                      return x.hsd < y.hsd;
+                  });
+        if (shortlist.size() > 3)
+            shortlist.pop_back();
+    };
+    const int triage = 4 * options.restarts;
+    const int triageSweeps = std::max(10, options.maxSweeps / 10);
+    for (int r = 0; r < triage; ++r) {
+        // Reserve ~40% of the budget for polish and hops.
+        if (evaluations - start > budget * 6 / 10)
+            break;
+        // Start schedule: zeros (structured blocks are often near
+        // sparse-angle solutions), a small perturbation of zeros, then
+        // fully random points.
+        std::vector<double> angles;
+        if (r == 0)
+            angles.assign(static_cast<size_t>(n), 0.0);
+        else if (r == 1)
+            angles = rng.uniformVector(n, -0.3, 0.3);
+        else
+            angles = rng.uniformVector(n, 0.0, 2.0 * kPi);
+        evaluator.setAngles(angles);
+        const double h = rotosolve(evaluator, triageSweeps, options.threshold,
+                                   evaluations, options.cancel);
+        if (h <= options.threshold)
+            return {h, evaluator.angles()};
+        consider(h, evaluator.angles());
+    }
+    for (auto &candidate : shortlist) {
+        if (best.hsd <= options.threshold || !budgetLeft())
+            break;
+        evaluator.setAngles(candidate.angles);
+        const double h = rotosolve(evaluator, options.maxSweeps,
+                                   options.threshold, evaluations,
+                                   options.cancel);
+        if (h < best.hsd)
+            best = {h, evaluator.angles()};
+    }
+    // Basin hopping: perturb the best point and re-sweep with shrinking
+    // step sizes. Escapes the shallow local minima coordinate descent
+    // can stall in. A depth whose best HSD stays far from the threshold
+    // almost certainly cannot represent the block; its remaining budget
+    // is better spent on deeper ansatze.
+    const double hopeless = std::max(0.25, 500.0 * options.threshold);
+    for (int hop = 0; hop < 2 * options.restarts &&
+                      best.hsd > options.threshold && best.hsd < hopeless &&
+                      budgetLeft();
+         ++hop) {
+        const double sigma = hop % 3 == 0 ? 0.5 : hop % 3 == 1 ? 0.2 : 0.05;
+        std::vector<double> angles = best.angles;
+        for (auto &a : angles)
+            a += sigma * rng.normal();
+        evaluator.setAngles(angles);
+        const double h = rotosolve(evaluator, options.maxSweeps,
+                                   options.threshold, evaluations,
+                                   options.cancel);
+        if (h < best.hsd)
+            best = {h, evaluator.angles()};
+    }
+    return best;
+}
+
+/**
+ * The paper's search at one ansatz depth (Sec 3.4): dual annealing
+ * with its Nelder-Mead local polish, capped at the depth's evaluation
+ * budget, then a short rotosolve polish from the annealed point. Only
+ * the optimizer ablation selects it.
+ */
+DepthBest
+annealingSearch(AnsatzEvaluator &evaluator, const ComposeOptions &options,
+                long budget, uint64_t seed, long &evaluations)
+{
+    const int dim = evaluator.dim();
+    const auto n = static_cast<size_t>(evaluator.numAngles());
+    DualAnnealingOptions da;
+    da.maxEvaluations = static_cast<int>(
+        std::min<long>(budget, std::numeric_limits<int>::max()));
+    da.targetValue = options.threshold;
+    da.seed = seed;
+    // The annealing objective closes over the incremental evaluator's
+    // full-trace path (cached U3 phases, split buffers) instead of the
+    // dense overlapTrace.
+    long probes = 0;
+    const auto out = dualAnnealing(
+        countedObjective(
+            [&](const std::vector<double> &a) {
+                // Checkpoint per probe: negligible next to the trace
+                // contraction, and annealing runs can otherwise
+                // monopolise tens of seconds.
+                if (options.cancel != nullptr)
+                    options.cancel->checkpoint("compose");
+                return hsdFromTrace(evaluator.traceAt(a), dim);
+            },
+            probes),
+        std::vector<double>(n, 0.0), std::vector<double>(n, 2.0 * kPi), da);
+    evaluations += probes;
+    static obs::Counter &annealEvals =
+        obs::counter("compose.annealing_evaluations");
+    annealEvals.add(probes);
+    evaluator.setAngles(out.x);
+    const double h = rotosolve(evaluator, 30, options.threshold, evaluations,
+                               options.cancel);
+    return {h, evaluator.angles()};
+}
+
+}  // namespace
+
 ComposeResult
 composeBlock(const Circuit &block, const ComposeOptions &options)
 {
@@ -176,15 +316,8 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
     result.circuit = block;
     const long origPulses = block.totalPulses();
     const Matrix target = circuitUnitary(block);
-    const int dim = target.rows();
 
     Rng rng(options.seed);
-    const bool useRoto = options.optimizer == ComposeOptimizer::Rotosolve ||
-                         options.optimizer == ComposeOptimizer::Hybrid;
-    const bool useAnneal =
-        options.optimizer == ComposeOptimizer::DualAnnealing ||
-        options.optimizer == ComposeOptimizer::Hybrid;
-
     std::vector<Entangler> entanglers;
     for (int layers = 1; layers <= options.maxLayers; ++layers) {
         if (options.cancel != nullptr)
@@ -205,167 +338,31 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
             if (ansatz.pulses() >= origPulses)
                 continue;
             // One incremental evaluator per (depth, entangler) try,
-            // shared across every restart, polish, basin hop, and the
-            // annealing objective below.
+            // shared across every restart, polish and basin hop.
             AnsatzEvaluator evaluator(ansatz, target);
-
-            const long depthStart = result.evaluations;
             // Budget scales with the search dimensionality: deeper
             // ansatze get proportionally more evaluations.
-            const long depthBudget =
-                options.maxEvaluationsPerBlock *
-                std::max(1, ansatz.numAngles() / 18);
-            auto depthBudgetLeft = [&] {
-                return result.evaluations - depthStart < depthBudget;
-            };
-            double bestHsd = 1.0;
-            std::vector<double> bestAngles;
+            const long depthBudget = options.maxEvaluationsPerBlock *
+                                     std::max(1, ansatz.numAngles() / 18);
+            const DepthBest best =
+                options.optimizer == ComposeOptimizer::DualAnnealing
+                    ? annealingSearch(evaluator, options, depthBudget,
+                                      options.seed +
+                                          static_cast<uint64_t>(layers),
+                                      result.evaluations)
+                    : rotosolveSearch(evaluator, options, depthBudget, rng,
+                                      result.evaluations);
 
-            // A depth whose best HSD stays far from the threshold after
-            // several restarts almost certainly cannot represent the
-            // block; spend the remaining budget on deeper ansatze
-            // instead.
-            const double hopeless = std::max(0.25, 500.0 * options.threshold);
-            if (useRoto) {
-                // Explore-then-exploit: good basins can be narrow, so
-                // basin *discovery* (many short runs) matters more than
-                // deep polishing of a few starts. Triage with short
-                // sweeps, keep the most promising starts, then polish.
-                struct Start
-                {
-                    double hsd;
-                    std::vector<double> angles;
-                };
-                std::vector<Start> shortlist;
-                auto consider = [&](double h, std::vector<double> angles) {
-                    shortlist.push_back({h, std::move(angles)});
-                    std::sort(shortlist.begin(), shortlist.end(),
-                              [](const Start &x, const Start &y) {
-                                  return x.hsd < y.hsd;
-                              });
-                    if (shortlist.size() > 3)
-                        shortlist.pop_back();
-                };
-                const int triage = 4 * options.restarts;
-                const int triageSweeps = std::max(10, options.maxSweeps / 10);
-                for (int r = 0; r < triage; ++r) {
-                    // Reserve ~40% of the budget for polish and hops.
-                    if (result.evaluations - depthStart >
-                        depthBudget * 6 / 10)
-                        break;
-                    // Start schedule: zeros (structured blocks are often
-                    // near sparse-angle solutions), a small perturbation
-                    // of zeros, then fully random points.
-                    std::vector<double> angles;
-                    if (r == 0) {
-                        angles.assign(
-                            static_cast<size_t>(ansatz.numAngles()), 0.0);
-                    } else if (r == 1) {
-                        angles = rng.uniformVector(ansatz.numAngles(),
-                                                   -0.3, 0.3);
-                    } else {
-                        angles = rng.uniformVector(ansatz.numAngles(), 0.0,
-                                                   2.0 * kPi);
-                    }
-                    evaluator.setAngles(angles);
-                    const double h =
-                        rotosolve(evaluator, triageSweeps,
-                                  options.threshold, result.evaluations,
-                                  options.cancel);
-                    if (h <= options.threshold) {
-                        bestHsd = h;
-                        bestAngles = evaluator.angles();
-                        break;
-                    }
-                    consider(h, evaluator.angles());
-                }
-                for (auto &start : shortlist) {
-                    if (bestHsd <= options.threshold || !depthBudgetLeft())
-                        break;
-                    evaluator.setAngles(start.angles);
-                    const double h =
-                        rotosolve(evaluator, options.maxSweeps,
-                                  options.threshold, result.evaluations,
-                                  options.cancel);
-                    if (h < bestHsd) {
-                        bestHsd = h;
-                        bestAngles = evaluator.angles();
-                    }
-                }
-                // Basin hopping: perturb the best point and re-sweep
-                // with shrinking step sizes. Escapes the shallow local
-                // minima coordinate descent can stall in.
-                for (int hop = 0;
-                     hop < 2 * options.restarts &&
-                     bestHsd > options.threshold && bestHsd < hopeless &&
-                     depthBudgetLeft();
-                     ++hop) {
-                    const double sigma = hop % 3 == 0 ? 0.5
-                                        : hop % 3 == 1 ? 0.2 : 0.05;
-                    std::vector<double> angles = bestAngles;
-                    for (auto &a : angles)
-                        a += sigma * rng.normal();
-                    evaluator.setAngles(angles);
-                    const double h =
-                        rotosolve(evaluator, options.maxSweeps,
-                                  options.threshold, result.evaluations,
-                                  options.cancel);
-                    if (h < bestHsd) {
-                        bestHsd = h;
-                        bestAngles = evaluator.angles();
-                    }
-                }
-            }
-            if (useAnneal && bestHsd > options.threshold &&
-                (bestHsd < hopeless || !useRoto) && depthBudgetLeft()) {
-                const int n = ansatz.numAngles();
-                const std::vector<double> lo(static_cast<size_t>(n), 0.0);
-                const std::vector<double> hi(static_cast<size_t>(n),
-                                             2.0 * kPi);
-                DualAnnealingOptions da;
-                da.maxEvaluations = options.annealingEvaluations;
-                da.targetValue = options.threshold;
-                da.seed = options.seed + static_cast<uint64_t>(layers);
-                // The annealing objective closes over the incremental
-                // evaluator's full-trace path (cached U3 phases, split
-                // buffers) instead of the dense overlapTrace.
-                long annealProbes = 0;
-                const auto out = dualAnnealing(
-                    countedObjective(
-                        [&](const std::vector<double> &a) {
-                            // Checkpoint per probe: negligible next to
-                            // the trace contraction, and annealing runs
-                            // can otherwise monopolise tens of seconds.
-                            if (options.cancel != nullptr)
-                                options.cancel->checkpoint("compose");
-                            return hsdFromTrace(evaluator.traceAt(a), dim);
-                        },
-                        annealProbes),
-                    lo, hi, da);
-                result.evaluations += annealProbes;
-                static obs::Counter &annealEvals =
-                    obs::counter("compose.annealing_evaluations");
-                annealEvals.add(annealProbes);
-                evaluator.setAngles(out.x);
-                const double h =
-                    rotosolve(evaluator, 30, options.threshold,
-                              result.evaluations, options.cancel);
-                if (h < bestHsd) {
-                    bestHsd = h;
-                    bestAngles = evaluator.angles();
-                }
-            }
-
-            if (bestHsd <= options.threshold) {
-                result.circuit = ansatz.toCircuit(bestAngles);
+            if (best.hsd <= options.threshold) {
+                result.circuit = ansatz.toCircuit(best.angles);
                 result.composed = true;
                 result.layersUsed = layers;
-                result.hsd = bestHsd;
+                result.hsd = best.hsd;
                 result.pulsesSaved = origPulses - ansatz.pulses();
                 return result;
             }
-            if (bestHsd < depthBestHsd) {
-                depthBestHsd = bestHsd;
+            if (best.hsd < depthBestHsd) {
+                depthBestHsd = best.hsd;
                 depthBestEntangler = e;
             }
         }
@@ -465,6 +462,7 @@ memoKey(const Circuit &block, const ComposeOptions &options)
     h.feedValue(static_cast<int>(options.entanglerMode));
     h.feedValue(options.restarts);
     h.feedValue(options.maxSweeps);
+    h.feedValue(options.maxEvaluationsPerBlock);
     h.feedValue(options.maxSplitDepth);
     for (const auto &g : block.gates()) {
         h.feedValue(static_cast<int>(g.kind()));
@@ -497,6 +495,18 @@ memoShard(const MemoKey &key)
     return shards[key.lo & (kMemoShards - 1)];
 }
 
+/**
+ * Single-flight over memo misses: pool workers that reach the same
+ * block at once (Trotter steps, ripple-carry stages) compose it once;
+ * the rest wait, then replay the winner's memo entry.
+ */
+cache::SingleFlight &
+memoFlights()
+{
+    static cache::SingleFlight flights;
+    return flights;
+}
+
 }  // namespace
 
 ComposeResult
@@ -509,14 +519,29 @@ composeBlockCached(const Circuit &block, const ComposeOptions &options)
 
     const MemoKey key = memoKey(block, options);
     MemoShard &shard = memoShard(key);
-    {
+    std::optional<ComposeResult> hit;
+    const auto lookup = [&] {
         std::lock_guard<std::mutex> lock(shard.mutex);
         const auto it = shard.map.find(key);
-        if (it != shard.map.end()) {
-            memoHits.add();
-            return it->second;
-        }
-    }
+        if (it != shard.map.end())
+            hit = it->second;
+        return hit.has_value();
+    };
+    const auto replay = [&](ComposeResult result) {
+        memoHits.add();
+        result.replayed = true;
+        return result;
+    };
+    if (lookup())
+        return replay(std::move(*hit));
+    // The block's spill key doubles as its flight key. A waiter replays
+    // the winner's entry. A winner looks once more: a racing caller may
+    // have published between the lookup and the claim.
+    const std::string blockKey = cache::blockCacheKey(key.hi, key.lo);
+    const cache::SingleFlight::Lease lease =
+        memoFlights().claim(blockKey, lookup);
+    if (!lease || lookup())
+        return replay(std::move(*hit));
     memoMisses.add();
 
     // In-memory miss: before searching, consult the persistent spill —
@@ -524,16 +549,16 @@ composeBlockCached(const Circuit &block, const ComposeOptions &options)
     cache::ResultCache *spill =
         options.spill != nullptr && options.spill->enabled() ? options.spill
                                                              : nullptr;
-    const std::string spillKey =
-        spill != nullptr ? cache::blockCacheKey(key.hi, key.lo)
-                         : std::string();
     if (spill != nullptr) {
-        if (auto payload = spill->load(spillKey)) {
+        if (auto payload = spill->load(blockKey)) {
             if (auto replayed = composeResultFromText(*payload)) {
                 obs::counter("compose.spill_hits").add();
-                std::lock_guard<std::mutex> lock(shard.mutex);
-                return shard.map.emplace(key, std::move(*replayed))
-                    .first->second;
+                {
+                    std::lock_guard<std::mutex> lock(shard.mutex);
+                    shard.map.emplace(key, *replayed);
+                }
+                replayed->replayed = true;
+                return *replayed;
             }
         }
     }
@@ -546,7 +571,7 @@ composeBlockCached(const Circuit &block, const ComposeOptions &options)
         obs::histogram("compose.evaluations_per_block")
             .record(static_cast<double>(result.evaluations));
     if (spill != nullptr)
-        spill->store(spillKey, composeResultToText(result));
+        spill->store(blockKey, composeResultToText(result));
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
         shard.map.emplace(key, result);

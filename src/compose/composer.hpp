@@ -8,12 +8,13 @@
  * or the composed pulse count would exceed the original's.
  *
  * Two optimizers are available:
- *  - DualAnnealing: the paper's choice (global annealing + local polish).
- *  - Rotosolve: exact coordinate descent — every U3 angle enters the
- *    trace Tr(O^dagger C) sinusoidally, so its optimum given the other
- *    angles has a closed form; sweeps converge monotonically.
- * The default Hybrid strategy runs cheap rotosolve restarts first and
- * falls back to dual annealing.
+ *  - Rotosolve (the default, and the only one on the production path):
+ *    exact coordinate descent — every U3 angle enters the trace
+ *    Tr(O^dagger C) sinusoidally, so its optimum given the other angles
+ *    has a closed form; sweeps converge monotonically.
+ *  - DualAnnealing: the paper's choice (global annealing + Nelder-Mead
+ *    local polish), kept only as the paper-faithful arm of the
+ *    optimizer ablation (bench_ablation_optimizer).
  */
 #ifndef GEYSER_COMPOSE_COMPOSER_HPP
 #define GEYSER_COMPOSE_COMPOSER_HPP
@@ -31,7 +32,7 @@ class ResultCache;
 }  // namespace cache
 
 /** Optimization strategy for the angle search. */
-enum class ComposeOptimizer { Rotosolve, DualAnnealing, Hybrid };
+enum class ComposeOptimizer { Rotosolve, DualAnnealing };
 
 /** Options for composing one block. */
 struct ComposeOptions
@@ -40,7 +41,7 @@ struct ComposeOptions
     double threshold = 1e-5;
     /** Hard cap on ansatz layers tried. */
     int maxLayers = 6;
-    ComposeOptimizer optimizer = ComposeOptimizer::Hybrid;
+    ComposeOptimizer optimizer = ComposeOptimizer::Rotosolve;
     EntanglerMode entanglerMode = EntanglerMode::PaperCcz;
     /** Rotosolve restarts per layer depth (zeros, near-zeros, random). */
     int restarts = 8;
@@ -50,11 +51,10 @@ struct ComposeOptions
      * Objective-evaluation budget per ansatz depth tried for one block
      * (each depth gets a fresh slice, so deeper — often easier —
      * ansatze are never starved by failed shallow searches). Blocks
-     * that cannot compose keep their original circuit, as always.
+     * that cannot compose keep their original circuit, as always. Caps
+     * both optimizers.
      */
     long maxEvaluationsPerBlock = 60000;
-    /** Dual-annealing evaluation budget per layer depth (Hybrid/DA). */
-    int annealingEvaluations = 60000;
     /**
      * When a whole block fails to compose, split it at the midpoint and
      * compose the halves independently (recursively, up to this depth).
@@ -91,6 +91,12 @@ struct ComposeResult
     double hsd = 0.0;     ///< Distance achieved by the adopted circuit.
     long evaluations = 0; ///< Objective evaluations spent.
     long pulsesSaved = 0; ///< originalPulses - adoptedPulses (>= 0).
+    /**
+     * Set per call by composeBlockCached (never memoized or spilled):
+     * true when the result was replayed from the memo or the disk
+     * spill, so `evaluations` were spent by an earlier call.
+     */
+    bool replayed = false;
 };
 
 /**
@@ -107,8 +113,10 @@ ComposeResult composeBlock(const Circuit &block,
  * gate content and the options. Trotterized and arithmetic circuits
  * produce the same local block many times (every Trotter step repeats
  * the bond pattern), so memoization removes most of the composition
- * cost. Thread-safe. The memo ignores options.seed (results for a given
- * block/option set are reused across seeds).
+ * cost. Thread-safe and single-flight: concurrent callers on one block
+ * compose it once, the rest wait and replay it. The memo ignores
+ * options.seed (results for a given block/option set are reused across
+ * seeds).
  */
 ComposeResult composeBlockCached(const Circuit &block,
                                  const ComposeOptions &options = {});

@@ -252,7 +252,8 @@ buildSkeletonPlan(Technique technique, const Circuit &representative,
                     ++composedSegments;
                     blockComposed = true;
                 }
-                plan.compositionEvaluations += cr.evaluations;
+                if (!cr.replayed)
+                    plan.compositionEvaluations += cr.evaluations;
                 plan.maxBlockHsd = std::max(plan.maxBlockHsd, cr.hsd);
                 segment = Circuit(static_cast<int>(block.atoms.size()));
             };

@@ -327,6 +327,7 @@ compileGeyser(const Circuit &logical, const PipelineOptions &options)
                   static_cast<double>(
                       blocks[static_cast<size_t>(i)]->atoms.size()));
             s.arg("evaluations", static_cast<double>(cr.evaluations));
+            s.arg("replayed", cr.replayed ? 1.0 : 0.0);
             s.arg("composed", cr.composed ? 1.0 : 0.0);
             s.arg("layers", cr.layersUsed);
             s.arg("hsd", cr.hsd);
@@ -347,7 +348,8 @@ compileGeyser(const Circuit &logical, const PipelineOptions &options)
                                        result.topology.numAtoms()));
         if (cr.composed)
             ++result.composedBlockCount;
-        result.compositionEvaluations += cr.evaluations;
+        if (!cr.replayed)
+            result.compositionEvaluations += cr.evaluations;
         result.maxBlockHsd = std::max(result.maxBlockHsd, cr.hsd);
     }
     composeSpan.arg("blocks", result.blockCount);

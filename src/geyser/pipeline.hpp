@@ -45,9 +45,10 @@ class ResultCache;
  * wall times, v5 the incremental composition kernel, v6 this constant
  * and the checksummed cache framing, v7 the SIMD compute backends —
  * FMA contraction and reduction-order changes shift composed circuits
- * within rounding).
+ * within rounding, v8 rotosolve as the only default optimizer and the
+ * evaluation budget in the composed-block key).
  */
-inline constexpr int kPipelineVersion = 7;
+inline constexpr int kPipelineVersion = 8;
 
 /** The compilation strategy to apply. */
 enum class Technique { Baseline, OptiMap, Geyser, Superconducting };
@@ -122,6 +123,8 @@ struct CompileResult
     // Geyser-only details.
     int blockCount = 0;
     int composedBlockCount = 0;
+    /** Objective evaluations this compile spent composing (memo and
+     *  spill replays count zero). */
     long compositionEvaluations = 0;
     double maxBlockHsd = 0.0;
     // Stage wall-clock times, populated unconditionally on every compile

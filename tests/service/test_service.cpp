@@ -250,7 +250,7 @@ TEST(CompileService, DeadlineExpiresMidCompile)
     ServiceConfig config;
     config.workers = 1;
     CompileService service(config);
-    JobSpec spec = specFor("adder-4");  // ≈ 250 ms compile.
+    JobSpec spec = specFor("heisenberg-16");  // ≈ 350 ms cold compile.
     spec.deadlineMs = 40;
     const uint64_t id = service.submit(spec);
 
@@ -565,7 +565,7 @@ TEST(SocketService, DeadlineExpiryOverWire)
     ServiceClient client = ServiceClient::overTcp(harness.server.port());
 
     const Response accepted =
-        client.submit(qasmFor("adder-4"), Technique::Geyser, 0,
+        client.submit(qasmFor("heisenberg-16"), Technique::Geyser, 0,
                       /*deadlineMs=*/40, false);
     ASSERT_TRUE(accepted.ok);
     const Response expired =

@@ -268,6 +268,42 @@ TEST_F(CacheTest, SingleFlightComputesOnceAcrossThreads)
     EXPECT_GE(cache.stats().singleflightWaits, 1);
 }
 
+TEST_F(CacheTest, ConcurrentStoresOfOneKeyAllLand)
+{
+    // Two pool workers that compose the same block both spill it under
+    // one key. Each store must land: a temp file shared between the
+    // threads of one process let the first rename move it away under
+    // the second, which then counted a store failure.
+    cache::ResultCache cache(config());
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 20;
+    for (int round = 0; round < kRounds; ++round) {
+        const std::string key = "b-race" + std::to_string(round);
+        const std::string payload(64 * 1024, static_cast<char>('a' + round));
+        std::atomic<int> ready{0};
+        std::atomic<int> stored{0};
+        std::vector<std::thread> threads;
+        threads.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&] {
+                ++ready;
+                while (ready.load() < kThreads) {
+                }
+                if (cache.store(key, payload))
+                    ++stored;
+            });
+        }
+        for (auto &t : threads)
+            t.join();
+        EXPECT_EQ(stored.load(), kThreads) << "round " << round;
+        const auto back = cache.load(key);
+        ASSERT_TRUE(back.has_value()) << "round " << round;
+        EXPECT_EQ(*back, payload);
+    }
+    EXPECT_EQ(cache.stats().storeFailures, 0);
+    EXPECT_EQ(cache.stats().corrupt, 0);
+}
+
 TEST_F(CacheTest, SingleFlightRecoversWhenComputeThrows)
 {
     cache::ResultCache cache(config());

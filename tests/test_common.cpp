@@ -1,9 +1,12 @@
 /**
  * @file
  * Tests for the common substrate: RNG determinism and distribution
- * shapes, thread-pool behaviour under load.
+ * shapes, thread-pool behaviour under load and at process exit.
  */
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -208,6 +211,26 @@ TEST(ThreadPool, ConcurrentBatchesCompleteIndependently)
     release.set_value();
     slowCaller.join();
     pool.waitIdle();
+}
+
+TEST(ThreadPool, ProcessExitRightAfterFirstUseIsClean)
+{
+    // The child's first library call creates the global pool and it
+    // returns at once, while the workers may still be starting: the obs
+    // registry they touch must outlive the pool's static.
+    for (int run = 0; run < 150; ++run) {
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::execl(GEYSER_POOL_EXIT_CHILD, GEYSER_POOL_EXIT_CHILD,
+                    static_cast<char *>(nullptr));
+            ::_exit(127);
+        }
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "run " << run << ": wait status " << status;
+    }
 }
 
 }  // namespace

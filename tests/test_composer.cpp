@@ -2,11 +2,14 @@
  * @file
  * Block-composition tests (Algorithm 2): exact resynthesis of
  * entangler-free blocks, recomposition of decomposed Toffoli patterns
- * into native CCZ, pulse-budget cutoffs, and equivalence guarantees.
+ * into native CCZ, pulse-budget cutoffs, equivalence guarantees, and
+ * the composed-block memo (key, single-flight, work counts).
  */
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "compose/composer.hpp"
+#include "obs/obs.hpp"
 #include "sim/unitary_sim.hpp"
 #include "transpile/basis.hpp"
 #include "transpile/passes.hpp"
@@ -141,7 +144,7 @@ TEST(Composer, DualAnnealingOptimizerAlsoComposes)
 
     ComposeOptions opts;
     opts.optimizer = ComposeOptimizer::DualAnnealing;
-    opts.annealingEvaluations = 100000;
+    opts.maxEvaluationsPerBlock = 100000;
     const auto result = composeBlock(block, opts);
     // Dual annealing plus rotosolve polish should still find the CCZ.
     EXPECT_TRUE(result.composed);
@@ -217,6 +220,81 @@ TEST(Composer, ThreeQubitRandomTwoLayerTargetComposes)
     EXPECT_LE(result.layersUsed, 6);
     EXPECT_LT(result.circuit.totalPulses(), inflated.totalPulses());
     expectEquivalent(inflated, result, 4e-5);
+}
+
+/**
+ * A two-CZ block; `salt` shifts its angles so each test composes blocks
+ * no other test in the process has put in the memo.
+ */
+Circuit
+memoBlock(double salt)
+{
+    Circuit block(2);
+    block.u3(0, 0.3 + salt, 0.1, 0.0);
+    block.cz(0, 1);
+    block.u3(1, 0.7, 0.2 + salt, 0.0);
+    block.cz(0, 1);
+    block.u3(0, 0.4, 0.0, 0.5 + salt);
+    return block;
+}
+
+TEST(ComposerMemo, ConcurrentCopiesComposeOncePerDistinctBlock)
+{
+    obs::EnabledScope on(true);
+    obs::Counter &misses = obs::counter("compose.memo_misses");
+    obs::Counter &evaluations = obs::counter("compose.evaluations");
+    constexpr int kDistinct = 3;
+    constexpr int kCopies = 8;
+    for (const int threads : {1, 2, 4}) {
+        // Copies interleaved, so every worker starts on a block that
+        // another worker is composing at the same moment.
+        std::vector<Circuit> blocks;
+        for (int copy = 0; copy < kCopies; ++copy)
+            for (int d = 0; d < kDistinct; ++d)
+                blocks.push_back(memoBlock(0.11 * threads + 0.013 * d));
+        std::vector<ComposeResult> results(blocks.size());
+        ThreadPool pool(threads);
+        const long missesBefore = misses.value();
+        const long evaluationsBefore = evaluations.value();
+        pool.parallelFor(static_cast<int>(blocks.size()), [&](int i) {
+            results[static_cast<size_t>(i)] =
+                composeBlockCached(blocks[static_cast<size_t>(i)]);
+        });
+        EXPECT_EQ(misses.value() - missesBefore, kDistinct)
+            << threads << " threads";
+        // Exactly the misses did the work; every copy replays it.
+        long spent = 0;
+        int fresh = 0;
+        for (const auto &r : results) {
+            if (!r.replayed) {
+                spent += r.evaluations;
+                ++fresh;
+            }
+        }
+        EXPECT_EQ(fresh, kDistinct) << threads << " threads";
+        EXPECT_EQ(spent, evaluations.value() - evaluationsBefore)
+            << threads << " threads";
+    }
+}
+
+TEST(ComposerMemo, EvaluationBudgetIsPartOfTheKey)
+{
+    // A block composed under one budget must not be replayed for a
+    // compile under another: the memo key is also the disk-spill key.
+    obs::EnabledScope on(true);
+    obs::Counter &misses = obs::counter("compose.memo_misses");
+    const Circuit block = memoBlock(0.917);
+    ComposeOptions small;
+    small.maxEvaluationsPerBlock = 20000;
+    ComposeOptions large;
+    large.maxEvaluationsPerBlock = 60000;
+    const long before = misses.value();
+    composeBlockCached(block, small);
+    composeBlockCached(block, large);
+    EXPECT_EQ(misses.value() - before, 2);
+    // The same budget again replays.
+    EXPECT_TRUE(composeBlockCached(block, large).replayed);
+    EXPECT_EQ(misses.value() - before, 2);
 }
 
 }  // namespace

@@ -7,8 +7,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "algos/algos.hpp"
+#include "algos/suite.hpp"
 #include "geyser/pipeline.hpp"
+#include "obs/obs.hpp"
 
 namespace geyser {
 namespace {
@@ -138,6 +143,41 @@ TEST(Pipeline, GeyserStatsAreConsistent)
     EXPECT_LE(gey.maxBlockHsd, 2e-5);
     EXPECT_EQ(gey.finalLayout.size(),
               static_cast<size_t>(logical.numQubits()));
+}
+
+TEST(Pipeline, CompositionEvaluationsCountSpentWorkOnly)
+{
+    // Trotter steps repeat their blocks; the memo replays them, and a
+    // replay spends nothing. The dt is unique to this test, so the
+    // compile starts from a cold memo.
+    const Circuit logical = heisenbergBenchmark(6, 6, 0.0731);
+    PipelineOptions options;
+    options.trace = true;
+    obs::Counter &evaluations = obs::counter("compose.evaluations");
+    obs::Counter &hits = obs::counter("compose.memo_hits");
+    const long evaluationsBefore = evaluations.value();
+    const long hitsBefore = hits.value();
+    const CompileResult result = compileGeyser(logical, options);
+    EXPECT_GT(hits.value() - hitsBefore, 0) << "no block was replayed";
+    EXPECT_GT(result.compositionEvaluations, 0);
+    EXPECT_EQ(result.compositionEvaluations,
+              evaluations.value() - evaluationsBefore);
+}
+
+TEST(Pipeline, Table1GeyserPulsesNeverRise)
+{
+    // Per-row Geyser pulse counts (paper Fig 12) of the Table-1 suite;
+    // Σ 14079. A change may lower a row, never raise one.
+    const std::map<std::string, long> pinned{
+        {"adder-4", 66},        {"vqe-4", 304},        {"qaoa-5", 250},
+        {"qft-5", 165},         {"multiplier-5", 22},  {"adder-9", 363},
+        {"advantage-9", 93},    {"qft-10", 864},       {"multiplier-10", 1307},
+        {"heisenberg-16", 10645}};
+    ASSERT_EQ(benchmarkSuite().size(), pinned.size());
+    for (const auto &spec : benchmarkSuite()) {
+        const CompileResult result = compile(Technique::Geyser, spec.make());
+        EXPECT_LE(result.stats.totalPulses, pinned.at(spec.name)) << spec.name;
+    }
 }
 
 }  // namespace

@@ -25,7 +25,6 @@ quickCompose()
     options.restarts = 4;
     options.maxSweeps = 120;
     options.maxEvaluationsPerBlock = 20000;
-    options.annealingEvaluations = 4000;
     return options;
 }
 
