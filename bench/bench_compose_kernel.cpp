@@ -10,8 +10,12 @@
  *                to the scalar reference backend, so it never moves.
  *   incremental  the environment-contraction AnsatzEvaluator (O(1) per
  *                probe after per-column folds), measured once per
- *                usable backend (scalar / avx2 / avx512) via
+ *                usable backend (scalar / avx2) via
  *                kernels::ScopedBackend.
+ *
+ * The per-backend rates are a diagnostic, not an admission test: a
+ * SIMD backend stays in the tree only if it wins an end-to-end
+ * perfbench metric (DESIGN.md §13), whatever its speedup here.
  *
  * Every backend is first cross-checked against the dense oracle
  * (verify/kernel_check, 1e-12) and the binary exits non-zero on any

@@ -1,14 +1,14 @@
 /**
  * @file
- * Backend dispatch: picks the best compiled-in backend the host CPU
- * supports, once, at first use — overridable with GEYSER_BACKEND and,
- * for tests, ScopedBackend. Compiled with the default (portable)
- * flags; the only ISA-specific code it touches is behind the CPUID
- * checks below.
+ * Backend dispatch: picks AVX2 when it is compiled in and the host CPU
+ * supports it, else scalar, once, at first use — overridable with
+ * GEYSER_BACKEND and, for tests, ScopedBackend. Compiled with the
+ * default (portable) flags; the only ISA-specific code it touches is
+ * behind the CPUID check below.
  *
- * GEYSER_HAVE_AVX2 / GEYSER_HAVE_AVX512 are defined by the build when
- * the corresponding TU is compiled in (x86-64 and the compiler accepts
- * the flags); on other architectures only the scalar backend exists.
+ * GEYSER_HAVE_AVX2 is defined by the build when the AVX2 TU is
+ * compiled in (x86-64 and the compiler accepts the flags); on other
+ * architectures only the scalar backend exists.
  */
 #include "linalg/kernels/backend.hpp"
 
@@ -22,9 +22,6 @@ namespace kernels {
 #if defined(GEYSER_HAVE_AVX2)
 const ComputeBackend &avx2Backend();
 #endif
-#if defined(GEYSER_HAVE_AVX512)
-const ComputeBackend &avx512Backend();
-#endif
 
 namespace {
 
@@ -33,18 +30,6 @@ hostSupportsAvx2()
 {
 #if defined(GEYSER_HAVE_AVX2)
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-    return false;
-#endif
-}
-
-bool
-hostSupportsAvx512()
-{
-#if defined(GEYSER_HAVE_AVX512)
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512dq") &&
-           __builtin_cpu_supports("avx512vl");
 #else
     return false;
 #endif
@@ -60,56 +45,35 @@ avx2OrNull()
     return nullptr;
 }
 
-const ComputeBackend *
-avx512OrNull()
-{
-#if defined(GEYSER_HAVE_AVX512)
-    if (hostSupportsAvx512())
-        return &avx512Backend();
-#endif
-    return nullptr;
-}
-
 /** Best usable backend on this host (the "auto" resolution). */
 const ComputeBackend *
 bestBackend()
 {
-    if (const ComputeBackend *b = avx512OrNull())
-        return b;
     if (const ComputeBackend *b = avx2OrNull())
         return b;
     return &scalarBackend();
 }
 
 /**
- * Resolve a name down the fallback chain. `honoured` reports whether
- * the exact request could be served ("auto"/unknown count as honoured
- * by the dispatch default).
+ * Resolve a name to the backend that would run. `honoured` reports
+ * whether the request was served as asked: true for "auto" and for an
+ * exact backend name the host can run; false for an unusable or
+ * unknown name, which runs the dispatch default instead (for "avx2"
+ * on a host without it, that default is scalar).
  */
 const ComputeBackend *
 resolveOrFallback(const std::string &name, bool *honoured)
 {
-    bool exact = true;
     const ComputeBackend *backend = nullptr;
-    if (name == "avx512") {
-        backend = avx512OrNull();
-        if (!backend) {
-            exact = false;
-            backend = avx2OrNull();
-        }
-    } else if (name == "avx2") {
-        backend = avx2OrNull();
-        if (!backend)
-            exact = false;
-    } else if (name == "scalar") {
+    if (name == "scalar")
         backend = &scalarBackend();
-    }
-    if (!backend)
-        backend = name == "avx512" || name == "avx2" ? &scalarBackend()
-                                                     : bestBackend();
+    else if (name == "avx2")
+        backend = avx2OrNull();
+    else if (name == "auto")
+        backend = bestBackend();
     if (honoured)
-        *honoured = exact;
-    return backend;
+        *honoured = backend != nullptr;
+    return backend ? backend : bestBackend();
 }
 
 std::atomic<const ComputeBackend *> &
@@ -191,16 +155,6 @@ std::vector<BackendInfo>
 availableBackends()
 {
     std::vector<BackendInfo> out;
-    {
-        BackendInfo info;
-        info.name = "avx512";
-#if defined(GEYSER_HAVE_AVX512)
-        info.compiled = true;
-#endif
-        info.supported = hostSupportsAvx512();
-        info.backend = avx512OrNull();
-        out.push_back(info);
-    }
     {
         BackendInfo info;
         info.name = "avx2";

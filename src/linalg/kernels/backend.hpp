@@ -7,7 +7,7 @@
  * compose/evaluator.cpp, compose/ansatz.cpp, and sim/statevector.cpp
  * now routes through one `ComputeBackend` — a table of free functions
  * over split-complex (SoA: separate re/im arrays) row-major buffers.
- * Three implementations are compiled in (host permitting):
+ * Two implementations are compiled in (host permitting):
  *
  *   scalar   portable reference loops, always available. This backend
  *            doubles as the correctness oracle: every other backend is
@@ -15,21 +15,23 @@
  *            Ansatz::overlapTrace path is pinned to it so the oracle
  *            never moves when dispatch changes.
  *   avx2     256-bit AVX2+FMA kernels (4 doubles / lane group).
- *   avx512   512-bit AVX-512F/DQ/VL kernels (8 doubles / lane group).
+ *
+ * A further ISA backend is kept only if it wins an end-to-end perfbench
+ * metric (DESIGN.md §13); a microbench speedup alone does not count.
  *
  * The active backend is chosen once, at first use, by CPUID runtime
- * dispatch (best compiled-in ISA the host supports), overridable with
+ * dispatch (avx2 when compiled in and supported, else scalar),
+ * overridable with
  *
- *   GEYSER_BACKEND=scalar|avx2|avx512
+ *   GEYSER_BACKEND=scalar|avx2
  *
- * for debugging and CI. Requesting an ISA the host or build lacks
- * falls back down the chain (avx512 -> avx2 -> scalar); the requested
- * and resolved names are both observable (run reports, Prometheus
- * `geyser_backend_info`, geyserd `stats`). SIMD translation units are
- * compiled with per-file -m flags and are only ever entered through
- * the dispatch table after the CPUID check, so the default build runs
- * on any x86-64 host (and non-x86 builds compile the scalar backend
- * only).
+ * for debugging and CI. Requesting avx2 where the host or build lacks
+ * it falls back to scalar; the requested and resolved names are both
+ * observable (run reports, Prometheus `geyser_backend_info`, geyserd
+ * `stats`). The AVX2 translation unit is compiled with per-file -m
+ * flags and is only ever entered through the dispatch table after the
+ * CPUID check, so the default build runs on any x86-64 host (and
+ * non-x86 builds compile the scalar backend only).
  *
  * All kernels accept unaligned pointers (unaligned loads/stores
  * throughout), so callers may pass arbitrarily offset buffers; aligned
@@ -159,7 +161,7 @@ const ComputeBackend &scalarBackend();
  */
 inline const ComputeBackend &reference() { return scalarBackend(); }
 
-/** Every known backend name, best first: avx512, avx2, scalar. */
+/** Every known backend name, best first: avx2, scalar. */
 std::vector<BackendInfo> availableBackends();
 
 /**
@@ -168,7 +170,7 @@ std::vector<BackendInfo> availableBackends();
  */
 const ComputeBackend &active();
 
-/** Name of the active backend ("scalar", "avx2", "avx512"). */
+/** Name of the active backend ("scalar" or "avx2"). */
 const char *activeName();
 
 /**
@@ -178,15 +180,17 @@ const char *activeName();
 const std::string &requestedName();
 
 /**
- * Resolve a backend by name with the documented fallback chain
- * (avx512 -> avx2 -> scalar; unknown names resolve to the dispatch
- * default). Returns the backend that would actually run.
+ * Resolve a backend by name: "auto" and unknown names resolve to the
+ * dispatch default, and avx2 falls back to scalar where it is not
+ * usable. Returns the backend that would actually run.
  */
 const ComputeBackend &resolveBackend(const std::string &name);
 
 /**
- * Force the active backend (tests / debugging). Returns false — and
- * activates the fallback — when the exact request cannot be honoured.
+ * Force the active backend (tests / debugging). Returns true only for
+ * "auto" or a usable exact name ("avx2", "scalar"); otherwise returns
+ * false and activates what resolveBackend() gives — so an unknown
+ * name is reported as not honoured.
  * Not safe concurrently with in-flight compiles; intended for
  * single-threaded test sections via ScopedBackend.
  */
@@ -201,7 +205,7 @@ class ScopedBackend
     ScopedBackend(const ScopedBackend &) = delete;
     ScopedBackend &operator=(const ScopedBackend &) = delete;
 
-    /** True if the exact named backend was activated (no fallback). */
+    /** True for "auto" or a usable exact name (see setActive). */
     bool honoured() const { return honoured_; }
 
   private:

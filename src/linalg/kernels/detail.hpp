@@ -2,15 +2,15 @@
  * @file
  * Portable reference implementations of every ComputeBackend kernel,
  * shared by the scalar backend and used as tail/small-dim fallbacks by
- * the SIMD translation units.
+ * the AVX2 translation unit.
  *
- * Everything here lives in an ANONYMOUS namespace on purpose: each
- * backend TU is compiled with different -m flags, and a plain `inline`
- * function in a header would be emitted as one mergeable COMDAT — the
- * linker could keep the copy compiled with AVX-512 flags and hand it
- * to the scalar backend, crashing non-AVX hosts. Internal linkage
- * forces a private, correctly-flagged copy per TU. The functions are
- * still marked `inline` so unused copies don't warn.
+ * Everything here lives in an ANONYMOUS namespace on purpose: the
+ * AVX2 TU is compiled with -mavx2 -mfma and the scalar TU without, and
+ * a plain `inline` function in a header would be emitted as one
+ * mergeable COMDAT — the linker could keep the copy compiled with AVX2
+ * flags and hand it to the scalar backend, crashing non-AVX hosts.
+ * Internal linkage forces a private, correctly-flagged copy per TU.
+ * The functions are still marked `inline` so unused copies don't warn.
  */
 #ifndef GEYSER_LINALG_KERNELS_DETAIL_HPP
 #define GEYSER_LINALG_KERNELS_DETAIL_HPP

@@ -5,14 +5,15 @@
  * must match the scalar reference to 1e-12 on randomized inputs —
  * including unaligned buffers (offset pointers; every kernel documents
  * unaligned tolerance) and tail dimensions (d = 2/4/8/16 plus odd d
- * for the unmasked-tail paths). Runs under Sanitize like the rest of
- * the suite, so masked-load overreads or scratch-buffer overflows in a
+ * for the scalar-tail paths). Runs under Sanitize like the rest of
+ * the suite, so vector-load overreads or scratch-buffer overflows in a
  * backend show up as ASan faults here.
  *
  * Also covers the dispatch surface: availableBackends() structure,
- * the avx512 -> avx2 -> scalar fallback chain, ScopedBackend
- * save/restore, and the full evaluator-vs-dense-oracle cross-check
- * (verify/kernel_check) once per backend.
+ * the default (auto) dispatch, the avx2 -> scalar fallback, which
+ * requests count as honoured, ScopedBackend save/restore, and the
+ * full evaluator-vs-dense-oracle cross-check (verify/kernel_check)
+ * once per backend.
  */
 #include <gtest/gtest.h>
 
@@ -73,21 +74,20 @@ maxAbsDiff(const double *a, const double *b, size_t n)
     return m;
 }
 
-/** Dims exercising full vectors, masked tails, and scalar-odd tails. */
+/** Dims exercising full vectors, scalar tail columns, and sub-vector d. */
 const int kDims[] = {2, 3, 4, 5, 7, 8, 12, 16};
 
-TEST(BackendDispatch, AvailableBackendsListsAllThreeBestFirst)
+TEST(BackendDispatch, AvailableBackendsListsBothBestFirst)
 {
     const auto backends = kernels::availableBackends();
-    ASSERT_EQ(backends.size(), 3u);
-    EXPECT_EQ(backends[0].name, "avx512");
-    EXPECT_EQ(backends[1].name, "avx2");
-    EXPECT_EQ(backends[2].name, "scalar");
+    ASSERT_EQ(backends.size(), 2u);
+    EXPECT_EQ(backends[0].name, "avx2");
+    EXPECT_EQ(backends[1].name, "scalar");
     // Scalar is unconditional.
-    EXPECT_TRUE(backends[2].compiled);
-    EXPECT_TRUE(backends[2].supported);
-    ASSERT_NE(backends[2].backend, nullptr);
-    EXPECT_STREQ(backends[2].backend->name, "scalar");
+    EXPECT_TRUE(backends[1].compiled);
+    EXPECT_TRUE(backends[1].supported);
+    ASSERT_NE(backends[1].backend, nullptr);
+    EXPECT_STREQ(backends[1].backend->name, "scalar");
     for (const auto &info : backends) {
         // usable <=> compiled && supported.
         EXPECT_EQ(info.backend != nullptr, info.compiled && info.supported)
@@ -109,21 +109,33 @@ TEST(BackendDispatch, ActiveIsOneOfTheUsableBackends)
     EXPECT_STREQ(kernels::activeName(), active.name);
 }
 
+TEST(BackendDispatch, AutoDispatchPicksTheFirstUsableBackend)
+{
+    const ComputeBackend *first = nullptr;
+    for (const auto &info : kernels::availableBackends()) {
+        if (info.backend != nullptr) {
+            first = info.backend;
+            break;
+        }
+    }
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(&kernels::resolveBackend("auto"), first);
+    if (kernels::requestedName() == "auto") {
+        EXPECT_EQ(&kernels::active(), first) << kernels::activeName();
+    }
+}
+
 TEST(BackendDispatch, ResolveFallsDownTheChain)
 {
     // Scalar always resolves to itself.
     EXPECT_STREQ(kernels::resolveBackend("scalar").name, "scalar");
-    // avx512 resolves to avx512, else avx2, else scalar — never up.
-    const std::string got512 = kernels::resolveBackend("avx512").name;
-    const std::string got2 = kernels::resolveBackend("avx2").name;
-    EXPECT_TRUE(got512 == "avx512" || got512 == "avx2" || got512 == "scalar");
-    EXPECT_TRUE(got2 == "avx2" || got2 == "scalar");
-    // If avx2 is usable, requesting avx512 never lands below avx2.
-    for (const auto &info : kernels::availableBackends()) {
-        if (info.name == "avx2" && info.backend != nullptr) {
-            EXPECT_NE(got512, "scalar");
-        }
-    }
+    // avx2 resolves to avx2 where it is usable, else scalar.
+    bool avx2Usable = false;
+    for (const auto &info : kernels::availableBackends())
+        if (info.name == "avx2" && info.backend != nullptr)
+            avx2Usable = true;
+    EXPECT_STREQ(kernels::resolveBackend("avx2").name,
+                 avx2Usable ? "avx2" : "scalar");
 }
 
 TEST(BackendDispatch, ScopedBackendOverridesAndRestores)
@@ -135,17 +147,18 @@ TEST(BackendDispatch, ScopedBackendOverridesAndRestores)
         EXPECT_STREQ(kernels::activeName(), "scalar");
     }
     EXPECT_EQ(kernels::activeName(), before);
+    // Unknown names — including "avx512", whose backend was removed —
+    // run the dispatch default but are not reported as honoured.
+    for (const char *unknown : {"no-such-isa", "avx512"}) {
+        kernels::ScopedBackend scoped(unknown);
+        EXPECT_FALSE(scoped.honoured()) << unknown;
+        EXPECT_EQ(&kernels::active(), &kernels::resolveBackend("auto"))
+            << unknown;
+    }
+    EXPECT_EQ(kernels::activeName(), before);
     {
-        // Unknown names resolve to the dispatch default (documented as
-        // honoured — there was no specific request to miss).
-        kernels::ScopedBackend scoped("no-such-isa");
+        kernels::ScopedBackend scoped("auto");
         EXPECT_TRUE(scoped.honoured());
-        const std::string fallback = kernels::activeName();
-        bool usable = false;
-        for (const auto &info : kernels::availableBackends())
-            if (info.backend != nullptr && info.name == fallback)
-                usable = true;
-        EXPECT_TRUE(usable) << fallback;
     }
     EXPECT_EQ(kernels::activeName(), before);
 }

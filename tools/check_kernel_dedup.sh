@@ -5,7 +5,7 @@
 # The compose evaluator, the dense ansatz oracle, and the statevector
 # simulator used to each carry a hand-rolled copy of the same complex
 # MAC inner loop; they now all route through the ComputeBackend kernel
-# layer so the scalar/AVX2/AVX-512 implementations stay the single
+# layer so the scalar and AVX2 implementations stay the single
 # source of truth. This script fails CI if a split-complex product
 # (`...Re[i] * ...Im[j]` and friends) is reintroduced outside the
 # kernel directory.
