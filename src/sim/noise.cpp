@@ -101,22 +101,4 @@ NoiseModel::singleChannel(NoiseChannelId id, double rate)
     return nm;
 }
 
-void
-applyNoisyGate(StateVector &sv, const Gate &gate, const NoiseModel &noise,
-               Rng &rng)
-{
-    sv.apply(gate);
-    if (noise.isNoiseless())
-        return;
-    const double pb = noise.bitFlipFor(gate);
-    const double pp = noise.phaseFlipFor(gate);
-    for (int i = 0; i < gate.numQubits(); ++i) {
-        const Qubit q = gate.qubit(i);
-        if (rng.bernoulli(pb))
-            sv.applyX(q);
-        if (rng.bernoulli(pp))
-            sv.applyZ(q);
-    }
-}
-
 }  // namespace geyser

@@ -41,8 +41,6 @@
 #include <vector>
 
 #include "circuit/gate.hpp"
-#include "common/rng.hpp"
-#include "sim/statevector.hpp"
 
 namespace geyser {
 
@@ -192,15 +190,6 @@ struct NoiseModel
     /** A model with only `id` enabled at `rate` (per-channel ablations). */
     static NoiseModel singleChannel(NoiseChannelId id, double rate);
 };
-
-/**
- * Sample one noisy execution: apply `gate`, then independently flip each
- * involved qubit with the model's probabilities. (Legacy helper; the
- * trajectory engine routes through NoiseSource hooks, and the
- * compatibility adapter reproduces exactly this draw order.)
- */
-void applyNoisyGate(StateVector &sv, const Gate &gate,
-                    const NoiseModel &noise, Rng &rng);
 
 }  // namespace geyser
 

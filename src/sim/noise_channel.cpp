@@ -56,8 +56,8 @@ namespace {
  * pre-refactor draw order on the sequential per-shot RNG: (1) pre-shot
  * loss sampling when atomLoss > 0, (2) per fired gate, a bit-flip then
  * a phase-flip Bernoulli per operand — including zero-probability
- * draws whenever any legacy field is nonzero, exactly like the old
- * `applyNoisyGate` — then (3) a crosstalk Bernoulli per zone atom.
+ * draws whenever any legacy field is nonzero, exactly like the
+ * pre-refactor simulator — then (3) a crosstalk Bernoulli per zone atom.
  */
 class LegacyPauliAdapter final : public NoiseSource
 {

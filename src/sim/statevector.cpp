@@ -1,5 +1,7 @@
 #include "sim/statevector.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -7,6 +9,57 @@
 #include "linalg/kernels/backend.hpp"
 
 namespace geyser {
+
+namespace {
+
+/**
+ * Weight below which a damped state is rescaled to weight 1 by an exact
+ * sum. The tracked weight is updated by subtraction, so it carries an
+ * absolute rounding error of about one ulp of the weight it started
+ * from, and its relative error grows as it falls; rescaling at 1/2
+ * bounds that growth to a factor of 2 and rules out underflow. At the
+ * Fig-15 damping rate (0.001) a rescale, two full passes, comes about
+ * once per 1400 damping steps.
+ */
+constexpr double kWeightFloor = 0.5;
+
+/**
+ * Calls f(i), in increasing order, for every index i in [0, dim) whose
+ * bits in `masks` (single-bit masks, ascending) are all clear. Each
+ * mask is one level of nested strides, so only the dim >> N visited
+ * indices cost a loop step.
+ */
+template <size_t N, typename F>
+void
+forEachClear(size_t dim, const std::array<size_t, N> &masks, F &&f)
+{
+    if constexpr (N == 0) {
+        for (size_t i = 0; i < dim; ++i)
+            f(i);
+    } else {
+        const size_t top = masks[N - 1];
+        std::array<size_t, N - 1> lower{};
+        std::copy_n(masks.begin(), N - 1, lower.begin());
+        for (size_t base = 0; base < dim; base += 2 * top)
+            forEachClear(top, lower, [&](size_t i) { f(base + i); });
+    }
+}
+
+/** Ascending single-bit masks of distinct qubits. */
+template <size_t N>
+std::array<size_t, N>
+sortedMasks(const std::array<Qubit, N> &qubits)
+{
+    std::array<size_t, N> masks{};
+    for (size_t k = 0; k < N; ++k)
+        masks[k] = size_t{1} << qubits[k];
+    std::sort(masks.begin(), masks.end());
+    for (size_t k = 1; k < N; ++k)
+        assert(masks[k - 1] != masks[k]);
+    return masks;
+}
+
+}  // namespace
 
 StateVector::StateVector(int num_qubits)
     : StateVector(num_qubits, 0)
@@ -38,20 +91,16 @@ StateVector::apply(const Gate &gate)
         applyY(gate.qubit(0));
         return;
       case GateKind::CZ: {
-        const size_t ma = size_t{1} << gate.qubit(0);
-        const size_t mb = size_t{1} << gate.qubit(1);
-        for (size_t i = 0; i < amps_.size(); ++i)
-            if ((i & ma) && (i & mb))
-                amps_[i] = -amps_[i];
+        const auto m = sortedMasks<2>({gate.qubit(0), gate.qubit(1)});
+        Complex *const a11 = amps_.data() + (m[0] | m[1]);
+        forEachClear(amps_.size(), m, [&](size_t i) { a11[i] = -a11[i]; });
         return;
       }
       case GateKind::CCZ: {
-        const size_t m = (size_t{1} << gate.qubit(0)) |
-                         (size_t{1} << gate.qubit(1)) |
-                         (size_t{1} << gate.qubit(2));
-        for (size_t i = 0; i < amps_.size(); ++i)
-            if ((i & m) == m)
-                amps_[i] = -amps_[i];
+        const auto m =
+            sortedMasks<3>({gate.qubit(0), gate.qubit(1), gate.qubit(2)});
+        Complex *const a111 = amps_.data() + (m[0] | m[1] | m[2]);
+        forEachClear(amps_.size(), m, [&](size_t i) { a111[i] = -a111[i]; });
         return;
       }
       default:
@@ -152,79 +201,94 @@ void
 StateVector::applyX(Qubit q)
 {
     const size_t mask = size_t{1} << q;
-    for (size_t i = 0; i < amps_.size(); ++i)
-        if (!(i & mask))
-            std::swap(amps_[i], amps_[i | mask]);
+    Complex *const a0 = amps_.data();
+    Complex *const a1 = a0 + mask;  // a1[i] is the q=1 partner of a0[i]
+    forEachClear<1>(amps_.size(), {mask},
+                    [&](size_t i) { std::swap(a0[i], a1[i]); });
 }
 
 void
 StateVector::applyZ(Qubit q)
 {
     const size_t mask = size_t{1} << q;
-    for (size_t i = 0; i < amps_.size(); ++i)
-        if (i & mask)
-            amps_[i] = -amps_[i];
+    Complex *const a1 = amps_.data() + mask;
+    forEachClear<1>(amps_.size(), {mask}, [&](size_t i) { a1[i] = -a1[i]; });
 }
 
 void
 StateVector::applyY(Qubit q)
 {
     const size_t mask = size_t{1} << q;
-    for (size_t i = 0; i < amps_.size(); ++i) {
-        if (!(i & mask)) {
-            const Complex a0 = amps_[i];
-            const Complex a1 = amps_[i | mask];
-            amps_[i] = -kI * a1;
-            amps_[i | mask] = kI * a0;
-        }
-    }
-}
-
-double
-StateVector::probOne(Qubit q) const
-{
-    const size_t mask = size_t{1} << q;
-    double p1 = 0.0;
-    for (size_t i = 0; i < amps_.size(); ++i)
-        if (i & mask)
-            p1 += std::norm(amps_[i]);
-    return p1;
+    Complex *const a0 = amps_.data();
+    Complex *const a1 = a0 + mask;
+    forEachClear<1>(amps_.size(), {mask}, [&](size_t i) {
+        const Complex v0 = a0[i];
+        const Complex v1 = a1[i];
+        a0[i] = -kI * v1;
+        a1[i] = kI * v0;
+    });
 }
 
 bool
 StateVector::applyAmplitudeDamping(Qubit q, double gamma, double u)
 {
     const size_t mask = size_t{1} << q;
-    const double p1 = probOne(q);
-    const double pJump = gamma * p1;
-    if (u < pJump) {
-        // Jump (K1): every q=1 amplitude moves to its q=0 partner —
-        // K1|psi> has no other support, so the in-place overwrite of
-        // the old q=0 amplitudes is exactly the channel's action.
-        const double inv = 1.0 / std::sqrt(p1);
-        for (size_t i = 0; i < amps_.size(); ++i) {
-            if (i & mask) {
-                amps_[i & ~mask] = amps_[i] * inv;
-                amps_[i] = 0.0;
-            }
+    Complex *const a0 = amps_.data();
+    Complex *const a1 = a0 + mask;
+    // The jump probability gamma * S1 / w never exceeds gamma, so only
+    // a draw below gamma needs the q=1 half's weight S1 before deciding.
+    if (u < gamma) {
+        double s1 = 0.0;
+        forEachClear<1>(amps_.size(), {mask},
+                        [&](size_t i) { s1 += std::norm(a1[i]); });
+        if (u < gamma * s1 / weight_) {
+            // Jump (K1): every q=1 amplitude moves to its q=0 partner —
+            // K1|psi> has no other support, so overwriting the old q=0
+            // amplitudes is exactly the channel's action.
+            const double inv = 1.0 / std::sqrt(s1);
+            forEachClear<1>(amps_.size(), {mask}, [&](size_t i) {
+                a0[i] = a1[i] * inv;
+                a1[i] = 0.0;
+            });
+            weight_ = 1.0;
+            return true;
         }
-        return true;
     }
-    // No jump (K0 = diag(1, sqrt(1 - gamma))), renormalized by the
-    // branch probability 1 - gamma * p1.
-    const double invNorm = 1.0 / std::sqrt(1.0 - pJump);
-    const double scale1 = std::sqrt(1.0 - gamma) * invNorm;
-    for (size_t i = 0; i < amps_.size(); ++i)
-        amps_[i] *= (i & mask) ? scale1 : invNorm;
+    // No jump (K0 = diag(1, sqrt(1 - gamma))): scale the q=1 half and
+    // sum its prior weight in the same pass. The q=0 half is not
+    // touched; the tracked weight carries the renormalization.
+    const double scale = std::sqrt(1.0 - gamma);
+    double s1 = 0.0;
+    forEachClear<1>(amps_.size(), {mask}, [&](size_t i) {
+        s1 += std::norm(a1[i]);
+        a1[i] *= scale;
+    });
+    weight_ -= gamma * s1;
+    if (weight_ < kWeightFloor)
+        renormalize();
     return false;
+}
+
+void
+StateVector::renormalize()
+{
+    const double inv = 1.0 / std::sqrt(normSquared());
+    for (auto &a : amps_)
+        a *= inv;
+    weight_ = 1.0;
 }
 
 Distribution
 StateVector::probabilities() const
 {
     Distribution p(amps_.size());
-    for (size_t i = 0; i < amps_.size(); ++i)
-        p[i] = std::norm(amps_[i]);
+    if (weight_ == 1.0) {
+        for (size_t i = 0; i < amps_.size(); ++i)
+            p[i] = std::norm(amps_[i]);
+    } else {
+        for (size_t i = 0; i < amps_.size(); ++i)
+            p[i] = std::norm(amps_[i]) / weight_;
+    }
     return p;
 }
 

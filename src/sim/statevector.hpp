@@ -31,6 +31,15 @@ class StateVector
     int numQubits() const { return numQubits_; }
     size_t dim() const { return amps_.size(); }
 
+    /**
+     * The raw amplitudes: the state scaled by sqrt(w), where w is a
+     * tracked squared weight. w is 1 at construction and after a
+     * damping jump, gates and Pauli injections leave it alone, and a
+     * no-jump damping step lowers it instead of renormalizing, so the
+     * normalised state is amplitudes() / sqrt(w). Until a damping step
+     * runs, w is exactly 1 and the amplitudes are the state itself.
+     * Writing through the mutable overload does not update w.
+     */
     const std::vector<Complex> &amplitudes() const { return amps_; }
     std::vector<Complex> &amplitudes() { return amps_; }
 
@@ -55,32 +64,46 @@ class StateVector
     /** Fast Pauli-Y on one qubit. */
     void applyY(Qubit q);
 
-    /** Probability that qubit q reads 1. */
-    double probOne(Qubit q) const;
-
     /**
      * One amplitude-damping (T1) trajectory step on qubit q: with
      * probability gamma * P(q = 1) the state jumps (K1, the qubit
      * collapses to |0>); otherwise the no-jump Kraus K0 =
-     * diag(1, sqrt(1 - gamma)) is applied. Either branch renormalizes.
-     * `u` is the caller's uniform [0, 1) draw deciding the branch
-     * (passed in so the RNG stream stays with the noise channel).
-     * Returns true when the jump occurred.
+     * diag(1, sqrt(1 - gamma)) is applied. `u` is the caller's uniform
+     * [0, 1) draw deciding the branch (passed in so the RNG stream
+     * stays with the noise channel). Returns true when the jump
+     * occurred.
+     *
+     * Only the q = 1 half is touched. The jump renormalizes and resets
+     * w to 1; the no-jump step scales the q = 1 half by sqrt(1 - gamma)
+     * and lowers w by gamma times that half's prior squared weight,
+     * leaving the q = 0 half bit-identical. Since
+     * gamma * P(1) <= gamma, a draw u >= gamma is a no-jump without
+     * reading P(1) first. Once w falls below a fixed floor (1/2)
+     * the amplitudes are rescaled to weight 1 by an exact sum, so the
+     * weight's rounding error stays near one ulp and long runs cannot
+     * underflow.
      */
     bool applyAmplitudeDamping(Qubit q, double gamma, double u);
 
-    /** |amplitude|^2 per basis state. */
+    /** Probability per basis state: |amplitude|^2 / w. */
     Distribution probabilities() const;
 
-    /** Inner product <this|other>. */
+    /** Inner product <this|other> of the raw amplitudes. */
     Complex innerProduct(const StateVector &other) const;
 
-    /** Sum of |amplitude|^2 (should be 1 for a valid state). */
+    /**
+     * Sum of |amplitude|^2 of the raw amplitudes: the tracked weight w
+     * up to rounding, so 1 for a state that no damping step has touched.
+     */
     double normSquared() const;
 
   private:
+    /** Scale the amplitudes to weight 1 with one exact sum pass. */
+    void renormalize();
+
     int numQubits_ = 0;
     std::vector<Complex> amps_;
+    double weight_ = 1.0;  ///< w, see amplitudes()
 };
 
 /** Ideal output distribution of a circuit started from |0...0>. */

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "metrics/metrics.hpp"
+#include "sim/statevector.hpp"
 #include "sim/trajectory.hpp"
 
 namespace geyser {

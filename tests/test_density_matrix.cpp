@@ -8,6 +8,7 @@
 
 #include "metrics/metrics.hpp"
 #include "sim/density_matrix.hpp"
+#include "sim/statevector.hpp"
 #include "sim/trajectory.hpp"
 
 namespace geyser {
