@@ -34,7 +34,8 @@ PauliString::expectation(const StateVector &state) const
             break;
         }
     }
-    return state.innerProduct(transformed).real();
+    // The raw amplitudes are the state scaled by sqrt(w).
+    return state.innerProduct(transformed).real() / state.weight();
 }
 
 double

@@ -28,7 +28,9 @@ class PauliString
     char op(int qubit) const { return ops_[static_cast<size_t>(qubit)]; }
     const std::string &label() const { return ops_; }
 
-    /** <state| P |state>. The state must have >= numQubits() qubits
+    /** <state| P |state> of the normalised state (the raw amplitudes'
+     *  value divided by the tracked weight, so a damped state reads
+     *  correctly). The state must have >= numQubits() qubits
      *  (identity on the rest). Always real for Hermitian P. */
     double expectation(const StateVector &state) const;
 

@@ -282,13 +282,8 @@ Distribution
 StateVector::probabilities() const
 {
     Distribution p(amps_.size());
-    if (weight_ == 1.0) {
-        for (size_t i = 0; i < amps_.size(); ++i)
-            p[i] = std::norm(amps_[i]);
-    } else {
-        for (size_t i = 0; i < amps_.size(); ++i)
-            p[i] = std::norm(amps_[i]) / weight_;
-    }
+    for (size_t i = 0; i < amps_.size(); ++i)
+        p[i] = std::norm(amps_[i]) / weight_;
     return p;
 }
 

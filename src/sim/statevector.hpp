@@ -43,6 +43,9 @@ class StateVector
     const std::vector<Complex> &amplitudes() const { return amps_; }
     std::vector<Complex> &amplitudes() { return amps_; }
 
+    /** The tracked squared weight w, see amplitudes(). */
+    double weight() const { return weight_; }
+
     /** Apply an arbitrary gate (logical or physical, 1-3 qubits). */
     void apply(const Gate &gate);
 
@@ -85,10 +88,15 @@ class StateVector
      */
     bool applyAmplitudeDamping(Qubit q, double gamma, double u);
 
-    /** Probability per basis state: |amplitude|^2 / w. */
+    /**
+     * Probability per basis state: |amplitude|^2 / w. Dividing by
+     * w = 1 is exact, so an undamped state reads its amplitudes' norms
+     * bit for bit.
+     */
     Distribution probabilities() const;
 
-    /** Inner product <this|other> of the raw amplitudes. */
+    /** Inner product <this|other> of the raw amplitudes (not divided
+     *  by either weight). */
     Complex innerProduct(const StateVector &other) const;
 
     /**

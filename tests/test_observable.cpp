@@ -53,6 +53,32 @@ TEST(PauliString, BellStateCorrelations)
     EXPECT_NEAR(PauliString("IZ").expectation(bell), 0.0, 1e-12);
 }
 
+TEST(PauliString, DampedStateReadsTheNormalisedState)
+{
+    Circuit c(2);
+    c.h(0);
+    c.ry(1, 0.7);
+    c.cx(0, 1);
+    StateVector damped(2);
+    damped.apply(c);
+    // u >= gamma is a no-jump step: it lowers the tracked weight
+    // instead of renormalising the amplitudes.
+    ASSERT_FALSE(damped.applyAmplitudeDamping(0, 0.3, 0.9));
+    ASSERT_LT(damped.weight(), 0.9);
+
+    StateVector normalised(2);
+    const double inv = 1.0 / std::sqrt(damped.normSquared());
+    for (size_t i = 0; i < normalised.dim(); ++i)
+        normalised.amplitudes()[i] = damped.amplitudes()[i] * inv;
+
+    for (const char *label : {"ZI", "IZ", "ZZ", "XX", "YY", "XZ"})
+        EXPECT_NEAR(PauliString(label).expectation(damped),
+                    PauliString(label).expectation(normalised), 1e-12)
+            << label;
+    Hamiltonian h = Hamiltonian::heisenbergChain(2, 1.0, 0.5);
+    EXPECT_NEAR(h.expectation(damped), h.expectation(normalised), 1e-12);
+}
+
 TEST(PauliString, IdentityOnWiderState)
 {
     StateVector sv(3);
