@@ -380,15 +380,50 @@ cmulAvx2(double ur, double ui, __m256d v, __m256d vs)
                             _mm256_mul_pd(_mm256_set1_pd(ui), vs));
 }
 
+/**
+ * svApply1q on qubit 0, where each amplitude pair (a0, a1) is one
+ * contiguous 256-bit vector. Reproduces bit for bit what this TU's
+ * compile of svApply1qRef gives for finite inputs: GCC contracts each
+ * complex product u * a to fmaddsub(dup_re(a), u, swap(u) * dup_im(a)),
+ * except u1 * a1, which it contracts to
+ * fmaddsub(dup_re(u1), a1, dup_im(u1) * swap(a1)); one add then sums
+ * each output. X holds [u0*a0 | u3*a1] in the first form; Y holds
+ * [u1*a1 | u2*a0], one lane pair per form, so out = X + Y with no
+ * final permute.
+ */
+void
+svApply1qQ0Avx2(double *p, size_t dim, const Complex *u)
+{
+    const __m256d ux = _mm256_setr_pd(u[0].real(), u[0].imag(), u[3].real(),
+                                      u[3].imag());
+    const __m256d uxSwap = _mm256_permute_pd(ux, 0x5);
+    const __m256d u1Re = _mm256_set1_pd(u[1].real());
+    const __m256d u2 = _mm256_setr_pd(0.0, 0.0, u[2].real(), u[2].imag());
+    const __m256d ry = _mm256_setr_pd(u[1].imag(), u[1].imag(), u[2].imag(),
+                                      u[2].real());
+    for (size_t i = 0; i < dim; i += 2) {
+        const __m256d v = _mm256_loadu_pd(p + 2 * i);  // [a0 | a1]
+        const __m256d x = _mm256_fmaddsub_pd(
+            _mm256_movedup_pd(v), ux,
+            _mm256_mul_pd(uxSwap, _mm256_permute_pd(v, 0xF)));
+        const __m256d w = _mm256_permute2f128_pd(v, v, 0x01);  // [a1 | a0]
+        const __m256d py = _mm256_blend_pd(u1Re, _mm256_movedup_pd(w), 0xC);
+        const __m256d qy = _mm256_blend_pd(w, u2, 0xC);
+        const __m256d y = _mm256_fmaddsub_pd(
+            py, qy, _mm256_mul_pd(ry, _mm256_permute_pd(w, 0xD)));
+        _mm256_storeu_pd(p + 2 * i, _mm256_add_pd(x, y));
+    }
+}
+
 void
 svApply1qAvx2(Complex *amps, size_t dim, int qubit, const Complex *u)
 {
     const size_t mask = size_t{1} << qubit;
-    if (qubit == 0 || dim < 4) {
-        svApply1qRef(amps, dim, qubit, u);
+    double *p = reinterpret_cast<double *>(amps);
+    if (qubit == 0) {
+        svApply1qQ0Avx2(p, dim, u);
         return;
     }
-    double *p = reinterpret_cast<double *>(amps);
     for (size_t base = 0; base < dim; base += 2 * mask) {
         for (size_t off = 0; off < mask; off += 2) {
             const size_t i0 = base + off, i1 = i0 | mask;

@@ -58,6 +58,9 @@ namespace {
  * a phase-flip Bernoulli per operand — including zero-probability
  * draws whenever any legacy field is nonzero, exactly like the
  * pre-refactor simulator — then (3) a crosstalk Bernoulli per zone atom.
+ * Sequential draws cannot be previewed without being consumed, so it
+ * keeps the default quietAt (never quiet): legacy models always take
+ * the hook path.
  */
 class LegacyPauliAdapter final : public NoiseSource
 {
@@ -139,6 +142,16 @@ class AmpDampingSource final : public NoiseSource
         }
     }
 
+    /** Every operand's draw is u >= gamma: a sure no-jump step each. */
+    bool quietAt(const GateEvent &ev, const ShotContext &ctx) const override
+    {
+        StreamRng rng(ctx.shotSeed, id(), ev.index);
+        for (int i = 0; i < ev.gate->numQubits(); ++i)
+            if (rng.uniform() < gamma_)
+                return false;
+        return true;
+    }
+
   private:
     double gamma_;
 };
@@ -174,6 +187,12 @@ class IdleDephasingSource final : public NoiseSource
         }
     }
 
+    /** Acts in onIdle only. */
+    bool quietAt(const GateEvent &, const ShotContext &) const override
+    {
+        return true;
+    }
+
   private:
     double rate_;
 };
@@ -202,6 +221,12 @@ class AtomLossTrackingSource final : public NoiseSource
                 ctx.countEvent(id());
             }
         }
+    }
+
+    /** Acts in onGateStart only. */
+    bool quietAt(const GateEvent &, const ShotContext &) const override
+    {
+        return true;
     }
 
   private:
@@ -245,6 +270,15 @@ class CorrelatedPauliSource final : public NoiseSource
         ctx.countEvent(id());
     }
 
+    /** onGate's first draw: whether a pair fires at all. */
+    bool quietAt(const GateEvent &ev, const ShotContext &ctx) const override
+    {
+        if (!ev.gate->isEntangling())
+            return true;
+        StreamRng rng(ctx.shotSeed, id(), ev.index);
+        return !rng.bernoulli(rate_);
+    }
+
   private:
     static void applyPauli(StateVector &sv, Qubit q, int pauli)
     {
@@ -266,7 +300,11 @@ class CorrelatedPauliSource final : public NoiseSource
     double rate_;
 };
 
-/** Symmetric per-qubit measurement confusion matrix, applied exactly. */
+/**
+ * Symmetric per-qubit measurement confusion matrix, applied exactly,
+ * once per run: it is linear and the same for every shot, so applying
+ * it to the average equals averaging the confused shots.
+ */
 class ReadoutErrorSource final : public NoiseSource
 {
   public:
@@ -277,9 +315,16 @@ class ReadoutErrorSource final : public NoiseSource
         return NoiseChannelId::ReadoutError;
     }
 
-    void onReadout(Distribution &p, ShotContext &ctx) const override
+    bool quietAt(const GateEvent &, const ShotContext &) const override
     {
-        for (Qubit q = 0; q < ctx.numQubits; ++q) {
+        return true;
+    }
+
+    /** Counts one event per shot read out. */
+    uint64_t onReadout(Distribution &p, int num_qubits,
+                       uint64_t shots) const override
+    {
+        for (Qubit q = 0; q < num_qubits; ++q) {
             const size_t mask = size_t{1} << q;
             for (size_t i = 0; i < p.size(); ++i) {
                 if (i & mask)
@@ -290,7 +335,7 @@ class ReadoutErrorSource final : public NoiseSource
                 p[i | mask] = flip_ * p0 + (1.0 - flip_) * p1;
             }
         }
-        ctx.countEvent(id());
+        return shots;
     }
 
   private:

@@ -4,7 +4,8 @@
  *
  * Each channel is a `NoiseSource`: an object with hooks that the
  * trajectory engine calls at fixed points of a shot (shot start, before
- * a gate fires, after it fires, on idle time, at readout). Per-shot
+ * a gate fires, after it fires, on idle time), plus once per run on the
+ * averaged readout distribution. Per-shot
  * mutable state — the lost-atom set, per-channel event tallies, the
  * legacy sequential RNG — lives in a `ShotContext` owned by the engine,
  * so one `NoiseSource` instance is shared by every trajectory across
@@ -20,7 +21,10 @@
  *    registered in (TrajectoryConfig::reverseChannelOrder flips the
  *    order; verify asserts bit-identity);
  *  - serial and parallel runs agree bit-for-bit (no draw depends on
- *    scheduling).
+ *    scheduling);
+ *  - a source can re-derive a gate's draws before the gate fires
+ *    (NoiseSource::quietAt), which lets the engine fold the no-jump
+ *    damping step into the gate's own pass when nothing fires.
  *
  * The one exception is `LegacyPauliAdapter`: the paper's Sec-4/Sec-6
  * model predates this architecture and its published numbers are pinned
@@ -28,7 +32,9 @@
  * The adapter replays exactly the pre-refactor draw order — including
  * degenerate zero-probability draws — so `NoiseModel::paperDefault()`
  * distributions are bit-identical to the pre-refactor simulator
- * (tests/golden/noise_legacy_golden.txt).
+ * (tests/golden/noise_legacy_golden.txt). Being sequential, it cannot
+ * answer quietAt without drawing, so it always answers "not quiet" and
+ * a model with the legacy channel on never takes the folded path.
  */
 #ifndef GEYSER_SIM_NOISE_CHANNEL_HPP
 #define GEYSER_SIM_NOISE_CHANNEL_HPP
@@ -199,11 +205,37 @@ class NoiseSource
         (void)ctx;
     }
 
-    /** Transform the shot's readout distribution (confusion matrices). */
-    virtual void onReadout(Distribution &p, ShotContext &ctx) const
+    /**
+     * True when onGate at `ev` would be quiet: an injection channel
+     * would leave the state and the tallies untouched, and a relaxation
+     * channel would apply only its no-jump step (every damping draw
+     * u >= gamma). Derived from the same keyed draws onGate makes, so
+     * it never disturbs them. The engine folds the no-jump step into
+     * the gate's own pass when every source is quiet. The default,
+     * false, is always safe: the gate then takes the hook path.
+     */
+    virtual bool quietAt(const GateEvent &ev, const ShotContext &ctx) const
+    {
+        (void)ev;
+        (void)ctx;
+        return false;
+    }
+
+    /**
+     * Transform the run's readout distribution (confusion matrices).
+     * Called once per noisyDistribution, on the average of the
+     * trajectories' distributions (each already depolarized for its
+     * lost atoms), so only a map that is linear, the same for every
+     * shot and commutes with that per-qubit symmetric depolarization
+     * belongs here. Returns the events to count: one per shot read out.
+     */
+    virtual uint64_t onReadout(Distribution &p, int num_qubits,
+                               uint64_t shots) const
     {
         (void)p;
-        (void)ctx;
+        (void)num_qubits;
+        (void)shots;
+        return 0;
     }
 };
 

@@ -13,13 +13,12 @@ namespace geyser {
 namespace {
 
 /**
- * Weight below which a damped state is rescaled to weight 1 by an exact
- * sum. The tracked weight is updated by subtraction, so it carries an
- * absolute rounding error of about one ulp of the weight it started
- * from, and its relative error grows as it falls; rescaling at 1/2
- * bounds that growth to a factor of 2 and rules out underflow. At the
- * Fig-15 damping rate (0.001) a rescale, two full passes, comes about
- * once per 1400 damping steps.
+ * Weight bound below which a damped state is rescaled to weight 1 by an
+ * exact sum. The bound is the product of (1 - gamma) over the no-jump
+ * steps since the weight was last 1, a lower bound on the weight, so a
+ * rescale comes before the amplitudes can underflow. At the Fig-15
+ * damping rate (0.001) a rescale, two full passes, comes once per ~690
+ * no-jump steps.
  */
 constexpr double kWeightFloor = 0.5;
 
@@ -236,12 +235,16 @@ StateVector::applyAmplitudeDamping(Qubit q, double gamma, double u)
     Complex *const a0 = amps_.data();
     Complex *const a1 = a0 + mask;
     // The jump probability gamma * S1 / w never exceeds gamma, so only
-    // a draw below gamma needs the q=1 half's weight S1 before deciding.
+    // a draw below gamma needs the q=1 half's weight S1 (and w, when a
+    // no-jump step has left it lazy) before deciding.
     if (u < gamma) {
-        double s1 = 0.0;
-        forEachClear<1>(amps_.size(), {mask},
-                        [&](size_t i) { s1 += std::norm(a1[i]); });
-        if (u < gamma * s1 / weight_) {
+        double s0 = 0.0, s1 = 0.0;
+        forEachClear<1>(amps_.size(), {mask}, [&](size_t i) {
+            s0 += std::norm(a0[i]);
+            s1 += std::norm(a1[i]);
+        });
+        const double w = damped_ ? s0 + s1 : 1.0;
+        if (u < gamma * s1 / w) {
             // Jump (K1): every q=1 amplitude moves to its q=0 partner —
             // K1|psi> has no other support, so overwriting the old q=0
             // amplitudes is exactly the channel's action.
@@ -250,23 +253,75 @@ StateVector::applyAmplitudeDamping(Qubit q, double gamma, double u)
                 a0[i] = a1[i] * inv;
                 a1[i] = 0.0;
             });
-            weight_ = 1.0;
+            damped_ = false;
+            bound_ = 1.0;
             return true;
         }
     }
-    // No jump (K0 = diag(1, sqrt(1 - gamma))): scale the q=1 half and
-    // sum its prior weight in the same pass. The q=0 half is not
-    // touched; the tracked weight carries the renormalization.
+    // No jump (K0 = diag(1, sqrt(1 - gamma))): scale the q=1 half. The
+    // q=0 half is not touched; the weight carries the renormalization.
     const double scale = std::sqrt(1.0 - gamma);
-    double s1 = 0.0;
-    forEachClear<1>(amps_.size(), {mask}, [&](size_t i) {
-        s1 += std::norm(a1[i]);
-        a1[i] *= scale;
-    });
-    weight_ -= gamma * s1;
-    if (weight_ < kWeightFloor)
-        renormalize();
+    forEachClear<1>(amps_.size(), {mask}, [&](size_t i) { a1[i] *= scale; });
+    noteNoJump(gamma, 1);
     return false;
+}
+
+bool
+StateVector::fusesNoJump(const Gate &gate)
+{
+    return gate.numQubits() == 1 || gate.kind() == GateKind::CZ ||
+           gate.kind() == GateKind::CCZ;
+}
+
+void
+StateVector::applyNoJumpFused(const Gate &gate, double gamma,
+                              const Complex *k0u)
+{
+    Complex *const a = amps_.data();
+    const double s = std::sqrt(1.0 - gamma);
+    const double s2 = s * s;
+    switch (gate.numQubits()) {
+      case 1:
+        kernels::active().svApply1q(a, amps_.size(), gate.qubit(0), k0u);
+        break;
+      case 2: {
+        assert(gate.kind() == GateKind::CZ);
+        const auto m = sortedMasks<2>({gate.qubit(0), gate.qubit(1)});
+        forEachClear(amps_.size(), m, [&](size_t i) {
+            a[i | m[0]] *= s;
+            a[i | m[1]] *= s;
+            a[i | m[0] | m[1]] *= -s2;
+        });
+        break;
+      }
+      default: {
+        assert(gate.kind() == GateKind::CCZ);
+        const double s3 = s2 * s;
+        const auto m =
+            sortedMasks<3>({gate.qubit(0), gate.qubit(1), gate.qubit(2)});
+        forEachClear(amps_.size(), m, [&](size_t i) {
+            a[i | m[0]] *= s;
+            a[i | m[1]] *= s;
+            a[i | m[2]] *= s;
+            a[i | m[0] | m[1]] *= s2;
+            a[i | m[0] | m[2]] *= s2;
+            a[i | m[1] | m[2]] *= s2;
+            a[i | m[0] | m[1] | m[2]] *= -s3;
+        });
+        break;
+      }
+    }
+    noteNoJump(gamma, gate.numQubits());
+}
+
+void
+StateVector::noteNoJump(double gamma, int steps)
+{
+    damped_ = true;
+    for (int k = 0; k < steps; ++k)
+        bound_ *= 1.0 - gamma;
+    if (bound_ < kWeightFloor)
+        renormalize();
 }
 
 void
@@ -275,15 +330,17 @@ StateVector::renormalize()
     const double inv = 1.0 / std::sqrt(normSquared());
     for (auto &a : amps_)
         a *= inv;
-    weight_ = 1.0;
+    damped_ = false;
+    bound_ = 1.0;
 }
 
 Distribution
 StateVector::probabilities() const
 {
+    const double w = weight();
     Distribution p(amps_.size());
     for (size_t i = 0; i < amps_.size(); ++i)
-        p[i] = std::norm(amps_[i]) / weight_;
+        p[i] = std::norm(amps_[i]) / w;
     return p;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -19,6 +20,14 @@ namespace {
 /** Per-channel event tally accumulated across trajectories. */
 using ChannelTally = std::array<uint64_t, kNumNoiseChannels>;
 
+/** What one chunk of trajectories counted. */
+struct ChunkTally
+{
+    ChannelTally events{};
+    /** Gates whose no-jump damping step was folded into their pass. */
+    uint64_t fusedGates = 0;
+};
+
 /** Precomputed per-circuit context shared by every trajectory. */
 struct EngineContext
 {
@@ -28,6 +37,14 @@ struct EngineContext
     std::vector<std::vector<int>> zones;
     /** Idle pulses per gate operand (empty when idle dephasing off). */
     std::vector<std::array<long, 3>> idle;
+    /**
+     * Damping rate of the quiet-gate fold, 0 when damping is off. A
+     * gate that fusesNoJump() and at which every source is quietAt()
+     * takes one applyNoJumpFused pass instead of the hook path.
+     */
+    double foldGamma = 0.0;
+    /** K0 * U per 1-qubit gate, for the fold (empty when it is off). */
+    std::vector<std::array<Complex, 4>> k0u;
 };
 
 void
@@ -84,9 +101,35 @@ idleDurations(const Circuit &circuit)
     return idle;
 }
 
+/** K0 * U for every 1-qubit gate: U's second row scaled by sqrt(1-g). */
+std::vector<std::array<Complex, 4>>
+foldedOneQubitMatrices(const Circuit &circuit, double gamma)
+{
+    const double s = std::sqrt(1.0 - gamma);
+    std::vector<std::array<Complex, 4>> out(circuit.size());
+    for (size_t gi = 0; gi < circuit.size(); ++gi) {
+        const Gate &g = circuit.gates()[gi];
+        if (g.numQubits() != 1)
+            continue;
+        const Matrix u = g.matrix();
+        out[gi] = {u(0, 0), u(0, 1), s * u(1, 0), s * u(1, 1)};
+    }
+    return out;
+}
+
+bool
+quietGate(const EngineContext &engine, const GateEvent &ev,
+          const ShotContext &ctx)
+{
+    for (const NoiseSource *s : engine.sources)
+        if (!s->quietAt(ev, ctx))
+            return false;
+    return true;
+}
+
 void
 accumulateTrajectory(const Circuit &circuit, const EngineContext &engine,
-                     uint64_t seed, Distribution &acc, ChannelTally &tally)
+                     uint64_t seed, Distribution &acc, ChunkTally &tally)
 {
     ShotContext ctx(seed, circuit.numQubits());
     for (const NoiseSource *s : engine.sources)
@@ -112,6 +155,12 @@ accumulateTrajectory(const Circuit &circuit, const EngineContext &engine,
         }
         for (const NoiseSource *s : engine.sources)
             s->onIdle(sv, ev, ctx);
+        if (engine.foldGamma > 0.0 && StateVector::fusesNoJump(g) &&
+            quietGate(engine, ev, ctx)) {
+            sv.applyNoJumpFused(g, engine.foldGamma, engine.k0u[gi].data());
+            ++tally.fusedGates;
+            continue;
+        }
         sv.apply(g);
         // Two canonical phases: Pauli-type injection (commutes up to a
         // global phase), then relaxation (damping, which does not
@@ -140,13 +189,10 @@ accumulateTrajectory(const Circuit &circuit, const EngineContext &engine,
             }
         }
     }
-    for (const NoiseSource *s : engine.sources)
-        s->onReadout(p, ctx);
-
     for (size_t i = 0; i < p.size(); ++i)
         acc[i] += p[i];
     for (size_t c = 0; c < kNumNoiseChannels; ++c)
-        tally[c] += ctx.events[c];
+        tally.events[c] += ctx.events[c];
 }
 
 /** Per-channel obs counters ("sim.noise.<channel>_events"). */
@@ -213,6 +259,10 @@ noisyDistribution(const Circuit &circuit, const NoiseModel &noise,
     // Precompute the idle-duration pass when idle dephasing is enabled.
     if (noise.idleDephasing > 0.0)
         engine.idle = idleDurations(circuit);
+    if (noise.ampDamping > 0.0) {
+        engine.foldGamma = noise.ampDamping;
+        engine.k0u = foldedOneQubitMatrices(circuit, noise.ampDamping);
+    }
 
     // Trajectories accumulate in fixed-size chunks and the chunk sums
     // combine in chunk order, so serial and parallel runs (on any worker
@@ -221,8 +271,7 @@ noisyDistribution(const Circuit &circuit, const NoiseModel &noise,
     const int chunks = (traj + kChunk - 1) / kChunk;
     std::vector<Distribution> partial(static_cast<size_t>(chunks),
                                       Distribution(dim, 0.0));
-    std::vector<ChannelTally> tallies(static_cast<size_t>(chunks),
-                                      ChannelTally{});
+    std::vector<ChunkTally> tallies(static_cast<size_t>(chunks));
     auto runChunk = [&](int c) {
         const int begin = c * kChunk;
         const int end = std::min(traj, begin + kChunk);
@@ -246,9 +295,20 @@ noisyDistribution(const Circuit &circuit, const NoiseModel &noise,
         v /= traj;
 
     ChannelTally events{};
-    for (const auto &t : tallies)
+    uint64_t fusedGates = 0;
+    for (const auto &t : tallies) {
         for (size_t c = 0; c < kNumNoiseChannels; ++c)
-            events[c] += t[c];
+            events[c] += t.events[c];
+        fusedGates += t.fusedGates;
+    }
+    // Readout maps are linear and the same for every shot, so they act
+    // once on the average (see NoiseSource::onReadout).
+    for (const NoiseSource *s : engine.sources)
+        events[static_cast<size_t>(s->id())] += s->onReadout(
+            total, circuit.numQubits(), static_cast<uint64_t>(traj));
+    static obs::Counter &fusedCounter = obs::counter("sim.fused_gates");
+    fusedCounter.add(static_cast<long>(fusedGates));
+    span.arg("fused_gates", static_cast<double>(fusedGates));
     for (size_t c = 0; c < kNumNoiseChannels; ++c) {
         if (events[c] == 0)
             continue;

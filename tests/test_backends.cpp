@@ -405,6 +405,65 @@ TEST(BackendParity, StatevectorKernels)
     }
 }
 
+/** u * a as fmaddsub(dup_re(a), u, swap(u) * dup_im(a)). */
+Complex
+fmaProductByA(Complex u, Complex a)
+{
+    return {std::fma(a.real(), u.real(), -(u.imag() * a.imag())),
+            std::fma(a.real(), u.imag(), u.real() * a.imag())};
+}
+
+/** u * a as fmaddsub(dup_re(u), a, dup_im(u) * swap(a)). */
+Complex
+fmaProductByU(Complex u, Complex a)
+{
+    return {std::fma(u.real(), a.real(), -(u.imag() * a.imag())),
+            std::fma(u.real(), a.imag(), u.imag() * a.real())};
+}
+
+TEST(BackendParity, Avx2QubitZeroKeepsTheContractedScalarBits)
+{
+    // The AVX2 svApply1q on qubit 0 must give exactly what the AVX2
+    // translation unit's compile of the scalar loop gave before it
+    // (the legacy noise golden applies U3/H on qubit 0 and is compared
+    // bit for bit): GCC's FMA contraction of each complex product,
+    // written out here with std::fma.
+    const ComputeBackend *avx2 = nullptr;
+    for (const ComputeBackend *b : simdBackends())
+        if (std::string(b->name) == "avx2")
+            avx2 = b;
+    if (avx2 == nullptr)
+        GTEST_SKIP() << "avx2 backend not usable on this host";
+    Rng rng(4096);
+    size_t checked = 0;
+    for (size_t dim = 2; dim <= 4096; dim *= 2) {
+        for (int rep = 0; rep < 20; ++rep) {
+            std::vector<Complex> state(dim);
+            for (auto &a : state)
+                a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+            Complex u[4];
+            for (auto &v : u)
+                v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+            std::vector<Complex> got = state;
+            avx2->svApply1q(got.data(), dim, 0, u);
+            for (size_t i = 0; i < dim; i += 2) {
+                const Complex a0 = state[i], a1 = state[i + 1];
+                const Complex want[2] = {
+                    fmaProductByA(u[0], a0) + fmaProductByU(u[1], a1),
+                    fmaProductByA(u[2], a0) + fmaProductByA(u[3], a1)};
+                for (size_t k = 0; k < 2; ++k) {
+                    ASSERT_EQ(std::memcmp(&want[k], &got[i + k],
+                                          sizeof(Complex)),
+                              0)
+                        << "dim " << dim << " amplitude " << i + k;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, size_t{20} * (8190));
+}
+
 /** Randomized ansatz shapes/angles, full evaluator vs the dense oracle
  *  (pinned to the scalar reference) once per usable backend. */
 TEST(BackendParity, EvaluatorMatchesDenseOracleOnEveryBackend)

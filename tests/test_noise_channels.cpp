@@ -6,13 +6,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,48 +23,13 @@
 #include "sim/trajectory.hpp"
 #include "topology/topology.hpp"
 #include "verify/differential.hpp"
+#include "verify/noise_reference.hpp"
 #include "verify/random_circuit.hpp"
 
 namespace geyser {
 namespace {
 
 // ---- Shared fixtures ------------------------------------------------
-
-/** The logical probe circuit the golden capture was generated from. */
-Circuit
-logicalProbe()
-{
-    Circuit c(4);
-    c.h(0);
-    c.cx(0, 1);
-    c.u3(2, 0.3, 0.1, 0.7);
-    c.ccx(0, 1, 2);
-    c.rz(3, 0.25);
-    c.cz(2, 3);
-    c.h(3);
-    c.ccz(1, 2, 3);
-    c.cx(3, 0);
-    c.h(2);
-    return c;
-}
-
-/** The physical probe circuit the golden capture was generated from. */
-Circuit
-physicalProbe()
-{
-    Circuit c(4);
-    c.u3(0, 1.5707963267948966, 0.0, 3.141592653589793);
-    c.cz(0, 1);
-    c.u3(1, 0.4, 0.2, 0.9);
-    c.ccz(0, 1, 2);
-    c.u3(2, 0.8, 0.0, 0.1);
-    c.cz(2, 3);
-    c.u3(3, 0.6, 0.3, 0.2);
-    c.ccz(1, 2, 3);
-    c.u3(0, 0.2, 0.5, 0.4);
-    c.cz(1, 3);
-    return c;
-}
 
 uint64_t
 bitsOf(double v)
@@ -100,29 +65,7 @@ allChannelsModel()
 
 // ---- Golden regression: legacy model is bit-identical ---------------
 
-std::map<std::string, std::vector<uint64_t>>
-loadGolden()
-{
-    const std::string path =
-        std::string(GEYSER_NOISE_GOLDEN_DIR) + "/noise_legacy_golden.txt";
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << "cannot open " << path;
-    std::map<std::string, std::vector<uint64_t>> cases;
-    std::string word;
-    while (in >> word) {
-        EXPECT_EQ(word, "case");
-        std::string name;
-        size_t dim = 0;
-        in >> name >> dim;
-        auto &values = cases[name];
-        for (size_t i = 0; i < dim; ++i) {
-            std::string hex;
-            in >> hex;
-            values.push_back(std::stoull(hex, nullptr, 16));
-        }
-    }
-    return cases;
-}
+const std::string kGoldenDir = GEYSER_NOISE_GOLDEN_DIR;
 
 #ifndef __has_feature
 #define __has_feature(x) 0
@@ -187,58 +130,38 @@ TEST(NoiseGolden, LegacyModelsBitIdenticalToPreRefactorCapture)
     // NoiseSource refactor. The compatibility adapter must reproduce
     // every probability bit-for-bit; any drift here is a silent break
     // of the paper's published numbers.
-    const auto cases = loadGolden();
+    const auto golden =
+        verify::loadNoiseReference(kGoldenDir + "/noise_legacy_golden.txt");
+    const auto cases = verify::legacyNoiseCases();
+    ASSERT_EQ(golden.size(), size_t{6});
     ASSERT_EQ(cases.size(), size_t{6});
+    for (const auto &c : cases)
+        expectBitIdentical(golden.at(c.name), c.run(), c.name);
+}
 
-    {
-        TrajectoryConfig cfg{64, 20260808, false, nullptr};
-        expectBitIdentical(
-            cases.at("paper-default-logical"),
-            noisyDistribution(logicalProbe(), NoiseModel::paperDefault(),
-                              cfg),
-            "paper-default-logical");
+TEST(NoiseReference, ExtendedChannelsMatchTheirCapture)
+{
+    // Extended-channel configurations captured before the quiet-gate
+    // fold and the once-per-run readout: those re-associate the
+    // arithmetic, so outcomes may move by rounding only.
+    const auto captured = verify::loadNoiseReference(
+        kGoldenDir + "/noise_extended_reference.txt");
+    const auto cases = verify::extendedNoiseCases(kGoldenDir);
+    ASSERT_EQ(captured.size(), cases.size());
+    double worst = 0.0;
+    for (const auto &c : cases) {
+        const auto &bits = captured.at(c.name);
+        const Distribution got = c.run();
+        ASSERT_EQ(bits.size(), got.size()) << c.name;
+        for (size_t i = 0; i < got.size(); ++i) {
+            double want;
+            std::memcpy(&want, &bits[i], sizeof want);
+            EXPECT_NEAR(got[i], want, verify::kExtendedReferenceTolerance)
+                << c.name << " outcome " << i;
+            worst = std::max(worst, std::abs(got[i] - want));
+        }
     }
-    {
-        TrajectoryConfig cfg{64, 4242, true, nullptr};
-        expectBitIdentical(
-            cases.at("paper-default-physical"),
-            noisyDistribution(physicalProbe(), NoiseModel::paperDefault(),
-                              cfg),
-            "paper-default-physical");
-    }
-    {
-        TrajectoryConfig cfg{64, 31337, false, nullptr};
-        NoiseModel nm = NoiseModel::paperDefault();
-        nm.perPulse = true;
-        expectBitIdentical(cases.at("per-pulse-physical"),
-                           noisyDistribution(physicalProbe(), nm, cfg),
-                           "per-pulse-physical");
-    }
-    {
-        TrajectoryConfig cfg{64, 77, false, nullptr};
-        NoiseModel nm = NoiseModel::paperDefault();
-        nm.atomLoss = 0.2;
-        expectBitIdentical(cases.at("atom-loss"),
-                           noisyDistribution(logicalProbe(), nm, cfg),
-                           "atom-loss");
-    }
-    {
-        const auto topo = Topology::makeTriangular(2, 2);
-        TrajectoryConfig cfg{64, 99, false, &topo};
-        NoiseModel nm = NoiseModel::paperDefault();
-        nm.crosstalkPhase = 0.3;
-        expectBitIdentical(cases.at("crosstalk"),
-                           noisyDistribution(logicalProbe(), nm, cfg),
-                           "crosstalk");
-    }
-    {
-        const auto topo = Topology::makeTriangular(2, 2);
-        TrajectoryConfig cfg{48, 5150, true, &topo};
-        NoiseModel nm{0.002, 0.0015, true, 0.1, 0.05};
-        expectBitIdentical(cases.at("kitchen-sink-legacy"),
-                           noisyDistribution(physicalProbe(), nm, cfg),
-                           "kitchen-sink-legacy");
-    }
+    RecordProperty("max_abs_delta", std::to_string(worst));
 }
 
 // ---- StreamRng ------------------------------------------------------
@@ -449,7 +372,7 @@ TEST(Readout, ComposesAsLinearMapOverLegacyNoise)
     // legacy model must give exactly the confusion matrix applied to
     // the legacy-only distribution (same seed): the legacy channel's
     // draws are untouched by the extra channel.
-    const Circuit c = logicalProbe();
+    const Circuit c = verify::noiseLogicalProbe();
     TrajectoryConfig cfg{64, 53, false, nullptr};
     const auto base =
         noisyDistribution(c, NoiseModel::paperDefault(), cfg);
@@ -481,7 +404,7 @@ TEST(StreamIsolation, DormantChannelDoesNotPerturbLegacyDraws)
     // own keyed stream, so the legacy sequential draws — and therefore
     // the whole distribution — are bit-identical. Under a shared
     // sequential RNG this test fails.
-    const Circuit c = logicalProbe();
+    const Circuit c = verify::noiseLogicalProbe();
     TrajectoryConfig cfg{64, 59, false, nullptr};
     const auto base =
         noisyDistribution(c, NoiseModel::paperDefault(), cfg);
@@ -494,7 +417,7 @@ TEST(StreamIsolation, DormantChannelDoesNotPerturbLegacyDraws)
 
 TEST(ChannelOrder, ReversedRegistrationIsBitExact)
 {
-    const Circuit c = physicalProbe();
+    const Circuit c = verify::noisePhysicalProbe();
     const NoiseModel nm = allChannelsModel();
     TrajectoryConfig cfg{32, 61, false, nullptr};
     const auto forward = noisyDistribution(c, nm, cfg);
@@ -529,13 +452,221 @@ TEST(Parallelism, SerialMatchesParallelWithEveryChannelEnabled)
     nm.perPulse = true;
     nm.atomLoss = 0.05;
     nm.crosstalkPhase = 0.1;
-    const Circuit c = physicalProbe();
+    const Circuit c = verify::noisePhysicalProbe();
     TrajectoryConfig serial{64, 67, false, &topo};
     TrajectoryConfig parallel{64, 67, true, &topo};
     const auto ps = noisyDistribution(c, nm, serial);
     const auto pp = noisyDistribution(c, nm, parallel);
     for (size_t i = 0; i < ps.size(); ++i)
         EXPECT_EQ(bitsOf(ps[i]), bitsOf(pp[i])) << "outcome " << i;
+}
+
+/** Every extended channel on, legacy off: the model the fold serves. */
+NoiseModel
+extendedOnlyModel()
+{
+    NoiseModel nm = allChannelsModel();
+    nm.bitFlip = 0.0;
+    nm.phaseFlip = 0.0;
+    return nm;
+}
+
+/** sim.fused_gates added by one noisyDistribution call. */
+long
+fusedGatesOf(const Circuit &c, const NoiseModel &nm,
+             const TrajectoryConfig &cfg, Distribution *out = nullptr)
+{
+    obs::EnabledScope scope(true);
+    auto &fused = obs::counter("sim.fused_gates");
+    const long before = fused.value();
+    const Distribution p = noisyDistribution(c, nm, cfg);
+    if (out != nullptr)
+        *out = p;
+    return fused.value() - before;
+}
+
+TEST(ChannelOrder, ReversedRegistrationIsBitExactWithLegacyOff)
+{
+    // With the legacy channel off most gates take the folded path; the
+    // quiet decision reads every source, so it cannot depend on order.
+    for (const Circuit &c : {verify::noisePhysicalProbe(),
+                             verify::randomPhysicalCircuit(5, 40, 71)}) {
+        const NoiseModel nm = extendedOnlyModel();
+        TrajectoryConfig cfg{48, 63, false, nullptr};
+        Distribution forward, backward;
+        EXPECT_GT(fusedGatesOf(c, nm, cfg, &forward), 0);
+        TrajectoryConfig reversed = cfg;
+        reversed.reverseChannelOrder = true;
+        EXPECT_GT(fusedGatesOf(c, nm, reversed, &backward), 0);
+        for (size_t i = 0; i < forward.size(); ++i)
+            EXPECT_EQ(bitsOf(forward[i]), bitsOf(backward[i]))
+                << "outcome " << i;
+    }
+}
+
+TEST(Parallelism, SerialMatchesParallelWithLegacyOff)
+{
+    const Circuit c = verify::randomPhysicalCircuit(5, 40, 73);
+    NoiseModel nm = extendedOnlyModel();
+    nm.ampDamping = 0.05;
+    TrajectoryConfig serial{64, 69, false, nullptr};
+    TrajectoryConfig parallel{64, 69, true, nullptr};
+    Distribution ps, pp;
+    const long fusedSerial = fusedGatesOf(c, nm, serial, &ps);
+    const long fusedParallel = fusedGatesOf(c, nm, parallel, &pp);
+    EXPECT_GT(fusedSerial, 0);
+    EXPECT_EQ(fusedSerial, fusedParallel);
+    for (size_t i = 0; i < ps.size(); ++i)
+        EXPECT_EQ(bitsOf(ps[i]), bitsOf(pp[i])) << "outcome " << i;
+}
+
+TEST(QuietFold, CountsEveryQuietGateAndNoLegacyGate)
+{
+    // Damping that never fires: every gate of the physical probe (U3,
+    // CZ, CCZ) is quiet and has a folded form. With the legacy channel
+    // on, no gate is.
+    const Circuit c = verify::noisePhysicalProbe();
+    TrajectoryConfig cfg{32, 79, true, nullptr};
+    const NoiseModel dormant =
+        NoiseModel::singleChannel(NoiseChannelId::AmpDamping, 1e-300);
+    EXPECT_EQ(fusedGatesOf(c, dormant, cfg),
+              32 * static_cast<long>(c.size()));
+    NoiseModel legacy = NoiseModel::paperDefault();
+    legacy.ampDamping = 1e-300;
+    EXPECT_EQ(fusedGatesOf(c, legacy, cfg), 0);
+}
+
+TEST(QuietFold, LogicalGatesWithoutAFoldedFormTakeTheHookPath)
+{
+    // CX and CCX have no folded form; H and RZ (one-qubit) do.
+    const Circuit c = verify::noiseLogicalProbe();
+    TrajectoryConfig cfg{16, 83, false, nullptr};
+    long foldable = 0;
+    for (const Gate &g : c.gates())
+        foldable += StateVector::fusesNoJump(g) ? 1 : 0;
+    ASSERT_LT(foldable, static_cast<long>(c.size()));
+    EXPECT_EQ(fusedGatesOf(c,
+                           NoiseModel::singleChannel(
+                               NoiseChannelId::AmpDamping, 1e-300),
+                           cfg),
+              16 * foldable);
+}
+
+/** A 3-qubit state with every amplitude nonzero and distinct. */
+StateVector
+genericState()
+{
+    StateVector sv(3);
+    sv.apply(Gate(GateKind::U3, 0, 0.7, 0.2, -0.4));
+    sv.apply(Gate(GateKind::U3, 1, 1.1, -0.3, 0.5));
+    sv.apply(Gate(GateKind::U3, 2, 2.3, 0.6, 0.1));
+    sv.apply(Gate(GateKind::CZ, 0, 2));
+    sv.apply(Gate(GateKind::U3, 0, 0.4, 0.9, 0.3));
+    return sv;
+}
+
+TEST(QuietFold, QuietHoldsExactlyWhenOnGateIsQuiet)
+{
+    // For each source and many (seed, gate index) keys: an injection
+    // source is quiet exactly when onGate leaves a generic state bit
+    // for bit and counts nothing; damping is quiet exactly when onGate
+    // is the plain no-jump step on every operand (checked on a generic
+    // state) and jumps on none (checked on |111>, where every draw
+    // below gamma jumps).
+    NoiseModel nm = NoiseModel::noiseless();
+    nm.ampDamping = 0.3;
+    nm.idleDephasing = 0.5;
+    nm.lossPerGate = 0.3;
+    nm.correlatedPauli = 0.4;
+    nm.readoutError = 0.1;
+    const auto sources = buildNoiseSources(nm);
+    ASSERT_EQ(sources.size(), size_t{5});
+    const Gate gates[] = {Gate(GateKind::U3, 1, 0.3, 0.2, 0.1),
+                          Gate(GateKind::CZ, 0, 2),
+                          Gate(GateKind::CCZ, 0, 1, 2)};
+    const std::array<long, 3> idle{{4, 4, 4}};
+    const StateVector generic = genericState();
+    std::map<std::string, std::array<int, 2>> seen;  // [quiet, loud]
+    for (const auto &src : sources) {
+        for (uint64_t seed = 1; seed <= 60; ++seed) {
+            for (size_t index = 0; index < 6; ++index) {
+                for (const Gate &g : gates) {
+                    GateEvent ev;
+                    ev.gate = &g;
+                    ev.index = index;
+                    ev.idlePulses = &idle;
+                    ShotContext ctx(seed, 3);
+                    const bool quiet = src->quietAt(ev, ctx);
+                    ++seen[src->name()][quiet ? 0 : 1];
+
+                    StateVector sv = generic;
+                    src->onGate(sv, ev, ctx);
+                    uint64_t events = 0;
+                    for (const uint64_t e : ctx.events)
+                        events += e;
+                    StateVector expected = generic;
+                    if (src->isRelaxation()) {
+                        for (int i = 0; i < g.numQubits(); ++i)
+                            expected.applyAmplitudeDamping(g.qubit(i), 0.3,
+                                                           0.3);
+                        ShotContext excited(seed, 3);
+                        StateVector ones(3, 0b111);
+                        src->onGate(ones, ev, excited);
+                        EXPECT_EQ(quiet, excited.events[static_cast<size_t>(
+                                          NoiseChannelId::AmpDamping)] == 0)
+                            << src->name() << " seed " << seed;
+                    }
+                    const bool same =
+                        events == 0 &&
+                        std::memcmp(sv.amplitudes().data(),
+                                    expected.amplitudes().data(),
+                                    sv.dim() * sizeof(Complex)) == 0;
+                    if (src->isRelaxation())
+                        EXPECT_TRUE(!quiet || same)
+                            << src->name() << " seed " << seed;
+                    else
+                        EXPECT_EQ(quiet, same)
+                            << src->name() << " seed " << seed
+                            << " index " << index << " " << g.toString();
+                }
+            }
+        }
+    }
+    // Both answers came up for the channels whose onGate can act.
+    EXPECT_GT(seen["amp-damp"][0], 0);
+    EXPECT_GT(seen["amp-damp"][1], 0);
+    EXPECT_GT(seen["correlated-pauli"][0], 0);
+    EXPECT_GT(seen["correlated-pauli"][1], 0);
+}
+
+TEST(QuietFold, LegacyAdapterIsNeverQuiet)
+{
+    const auto sources = buildNoiseSources(NoiseModel::paperDefault());
+    ASSERT_EQ(sources.size(), size_t{1});
+    const Gate g(GateKind::U3, 0, 0.3, 0.2, 0.1);
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        GateEvent ev;
+        ev.gate = &g;
+        ev.index = seed;
+        ShotContext ctx(seed, 1);
+        EXPECT_FALSE(sources[0]->quietAt(ev, ctx));
+    }
+}
+
+TEST(Readout, CountsOneEventPerShotReadOut)
+{
+    // The confusion matrix acts once on the averaged distribution, but
+    // sim.noise.readout_events still counts the shots it read out.
+    Circuit c(2);
+    c.h(0);
+    obs::EnabledScope scope(true);
+    auto &events = obs::counter("sim.noise.readout_events");
+    const long before = events.value();
+    TrajectoryConfig cfg{40, 89, true, nullptr};
+    noisyDistribution(
+        c, NoiseModel::singleChannel(NoiseChannelId::ReadoutError, 0.05),
+        cfg);
+    EXPECT_EQ(events.value() - before, 40);
 }
 
 TEST(VerifyChannels, TrajectoryEngineMatchesStatevectorWhenChannelsOff)

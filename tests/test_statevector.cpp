@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <random>
 #include <utility>
@@ -411,6 +412,135 @@ TEST(StateVector, AmplitudeDampingLongRunStaysFiniteAtTheFloor)
     }
     EXPECT_NEAR(sum, 1.0, 1e-12);
     EXPECT_LE(maxGap(sv, ref.amplitudes()), 1e-12);
+}
+
+/** K0 * U for a one-qubit gate, as the trajectory engine builds it. */
+std::array<Complex, 4>
+foldedMatrix(const Gate &g, double gamma)
+{
+    const double s = std::sqrt(1.0 - gamma);
+    const Matrix u = g.matrix();
+    return {u(0, 0), u(0, 1), s * u(1, 0), s * u(1, 1)};
+}
+
+TEST(StateVector, NoJumpFoldMatchesStepwiseDamping)
+{
+    // The folded pass against the gate followed by one no-jump step per
+    // operand, for 1-qubit gates, CZ and CCZ on every operand position
+    // of a 5-qubit register (qubit 0 and the top qubit included).
+    constexpr int n = 5;
+    constexpr double gamma = 0.07;
+    std::mt19937_64 rng(1915);
+    std::uniform_real_distribution<double> angle(-3.0, 3.0);
+    std::vector<Gate> gates;
+    for (Qubit a = 0; a < n; ++a) {
+        gates.emplace_back(GateKind::U3, a, angle(rng), angle(rng),
+                           angle(rng));
+        gates.emplace_back(GateKind::H, a);
+        gates.emplace_back(GateKind::X, a);
+        for (Qubit b = 0; b < n; ++b) {
+            if (b == a)
+                continue;
+            gates.emplace_back(GateKind::CZ, a, b);
+            for (Qubit c = 0; c < n; ++c)
+                if (c != a && c != b)
+                    gates.emplace_back(GateKind::CCZ, a, b, c);
+        }
+    }
+    StateVector start(n);
+    for (Qubit q = 0; q < n; ++q)
+        start.apply(Gate(GateKind::U3, q, angle(rng), angle(rng), angle(rng)));
+    start.apply(Gate(GateKind::CZ, 0, 4));
+    start.apply(Gate(GateKind::CZ, 1, 3));
+    for (const Gate &g : gates) {
+        ASSERT_TRUE(StateVector::fusesNoJump(g)) << g.toString();
+        StateVector fused = start;
+        const auto k0u = foldedMatrix(g, gamma);
+        fused.applyNoJumpFused(g, gamma, k0u.data());
+        StateVector stepwise = start;
+        stepwise.apply(g);
+        for (int i = 0; i < g.numQubits(); ++i)
+            ASSERT_FALSE(
+                stepwise.applyAmplitudeDamping(g.qubit(i), gamma, gamma));
+        const double scale = std::sqrt(stepwise.weight());
+        for (size_t i = 0; i < fused.dim(); ++i)
+            EXPECT_LE(std::abs(fused.amplitudes()[i] -
+                               stepwise.amplitudes()[i]),
+                      1e-15 * scale)
+                << g.toString() << " index " << i;
+        EXPECT_NEAR(fused.weight(), stepwise.weight(),
+                    1e-15 * stepwise.weight())
+            << g.toString();
+    }
+    EXPECT_FALSE(
+        StateVector::fusesNoJump(Gate(GateKind::CX, 0, 1)));
+    EXPECT_FALSE(
+        StateVector::fusesNoJump(Gate(GateKind::CCX, 0, 1, 2)));
+}
+
+TEST(StateVector, LazyWeightLongRunStaysOnTheReferenceAtTheFloor)
+{
+    // 24k damping steps at gamma = 0.2 under the lazy weight: folded
+    // X gates (no-jump steps that only scale), with every fifth step a
+    // stepwise draw below gamma that reads the exact weight first and
+    // may jump. The running bound must trigger the rescale well before
+    // anything underflows, and the state must stay on the
+    // renormalizing reference.
+    constexpr int n = 4;
+    constexpr double gamma = 0.2;
+    std::mt19937_64 rng(11);
+    std::uniform_real_distribution<double> noJump(gamma, 1.0);
+    std::uniform_real_distribution<double> low(0.0, gamma);
+    Circuit prep(n);
+    for (Qubit q = 0; q < n; ++q)
+        prep.u3(q, 0.5 + 0.4 * q, 0.1, 0.2);
+    StateVector sv(n);
+    sv.apply(prep);
+    StateVector ref(n);
+    ref.apply(prep);
+    int jumps = 0, folds = 0;
+    for (int step = 0; step < 24000; ++step) {
+        const auto q = static_cast<Qubit>(rng() % n);
+        const Gate x(GateKind::X, q);
+        ref.applyX(q);
+        if (step % 5 == 4) {
+            sv.applyX(q);
+            const double u = low(rng);
+            const bool want = renormalizingDamping(ref.amplitudes(), q,
+                                                   gamma, u);
+            ASSERT_EQ(sv.applyAmplitudeDamping(q, gamma, u), want)
+                << "step " << step;
+            jumps += want ? 1 : 0;
+        } else {
+            const auto k0u = foldedMatrix(x, gamma);
+            sv.applyNoJumpFused(x, gamma, k0u.data());
+            ASSERT_FALSE(renormalizingDamping(ref.amplitudes(), q, gamma,
+                                              noJump(rng)));
+            ++folds;
+        }
+        ASSERT_GE(sv.weight(), 0.4) << "step " << step;
+    }
+    EXPECT_GT(jumps, 100);
+    EXPECT_GT(folds, 19000);
+    const Distribution p = sv.probabilities();
+    double sum = 0.0;
+    for (const double v : p) {
+        ASSERT_TRUE(std::isfinite(v));
+        sum += v;
+    }
+    EXPECT_NEAR(sum, 1.0, 1e-12);
+    EXPECT_LE(maxGap(sv, ref.amplitudes()), 1e-12);
+}
+
+TEST(StateVector, WeightIsExactlyOneUntilDamped)
+{
+    StateVector sv(3);
+    sv.apply(Gate(GateKind::U3, 0, 0.7, 0.2, -0.4));
+    sv.apply(Gate(GateKind::CZ, 0, 2));
+    EXPECT_EQ(sv.weight(), 1.0);
+    ASSERT_FALSE(sv.applyAmplitudeDamping(0, 0.3, 0.5));
+    EXPECT_LT(sv.weight(), 1.0);
+    EXPECT_EQ(sv.weight(), sv.normSquared());
 }
 
 TEST(StateVector, NonAdjacentQubitOperands)
